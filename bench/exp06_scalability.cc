@@ -15,8 +15,8 @@
 // database (DESIGN.md §12): the sharded fine-clustering/CSG executor forks
 // that many supervised workers. Bit-identity across process counts means
 // this sweep, too, measures pure execution cost — plus the supervision
-// overhead (fork, pipes, artifact round-trips), which the sharded-phase
-// wall time exposes directly.
+// overhead (fork, socket round-trips, artifact writes), which the
+// sharded-phase wall time exposes directly.
 //
 // Paper shape (part 1): times grow roughly with |D|; mu_DS <= 0 (bigger
 // data -> equal or better patterns) and MP drops, with the sweet spot
@@ -202,7 +202,7 @@ int main() {
   std::printf(
       "\nexpected shape: identical panels at every process count (asserted\n"
       "by tests/dist_test.cc down to checkpoint bytes); the sharded phase\n"
-      "adds fork/pipe/artifact overhead, repaid on multi-core machines as\n"
+      "adds fork/socket/artifact overhead, repaid on multi-core machines as\n"
       "the fine+CSG phases spread across workers.\n");
 
   // --- Machine-readable artifact -----------------------------------------

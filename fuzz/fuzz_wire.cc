@@ -1,10 +1,9 @@
 // libFuzzer target for the CTWF frame layer (src/dist/wire.h) — the bytes a
-// supervisor reads from worker pipes and a catapult_serve process reads from
-// client sockets. Both consumers run FrameReader over chunks of untrusted
-// bytes and then hand each complete payload to a typed decoder; none of it
-// may ever crash, CATAPULT_CHECK, or read out of bounds — a bad peer is
-// answered
-// by poisoning the stream, nothing more.
+// supervisor reads from shard-worker sockets and a catapult_serve process
+// reads from client sockets. Both consumers run FrameReader over chunks of
+// untrusted bytes and then hand each complete payload to a typed decoder;
+// none of it may ever crash, CATAPULT_CHECK, or read out of bounds — a bad
+// peer is answered by poisoning the stream, nothing more.
 //
 // The first input byte steers the harness:
 //   - the low bit picks the chunking discipline (one Feed vs byte-at-a-time,
@@ -34,18 +33,8 @@ using catapult::dist::FrameType;
 // payload by type. Return values are irrelevant; surviving is the test.
 void DispatchFrame(const Frame& frame) {
   switch (frame.type) {
-    case FrameType::kHello: {
-      catapult::dist::HelloFrame f;
-      (void)Decode(frame.payload, &f);
-      break;
-    }
     case FrameType::kHeartbeat: {
       catapult::dist::HeartbeatFrame f;
-      (void)Decode(frame.payload, &f);
-      break;
-    }
-    case FrameType::kClusterDone: {
-      catapult::dist::ClusterDoneFrame f;
       (void)Decode(frame.payload, &f);
       break;
     }

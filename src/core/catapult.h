@@ -97,8 +97,8 @@ struct CatapultOptions {
   // counts.
   size_t processes = 0;
   size_t max_shard_retries = 2;
-  // A worker silent on its heartbeat pipe for this long is declared hung
-  // and killed (its shard retries from the last durable artifact).
+  // A worker silent on its connection for this long is declared hung and
+  // fenced (its shard retries with only the clusters still missing).
   double shard_heartbeat_timeout_ms = 2000.0;
   // Network-transparent sharding (DESIGN.md §14). A non-empty listen
   // address ("unix:PATH" or "tcp:HOST:PORT") — or an adopted listening fd

@@ -1,21 +1,22 @@
 #ifndef CATAPULT_DIST_CHANNEL_H_
 #define CATAPULT_DIST_CHANNEL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 
 #include "src/dist/wire.h"
 
-// Socket transport for network-transparent sharding (DESIGN.md §14). The
-// CTWF framing in wire.h is transport-agnostic; this file supplies the
-// byte-stream underneath it when workers live in other processes or on
-// other machines: Unix-domain sockets for same-host fleets and TCP for
-// cross-host ones. A Channel wraps one connected, non-blocking fd and adds
-// the two things pipes never needed — interleave-safe frame writes with a
-// write-stall deadline (a peer that stops reading but keeps the connection
-// open must not wedge the supervisor), and a non-blocking drain into a
-// FrameReader that distinguishes "no bytes yet" from "peer gone".
+// Socket transport for sharded execution (DESIGN.md §14). The CTWF framing
+// in wire.h is transport-agnostic; this file supplies the byte-stream
+// underneath it: a socketpair for workers the supervisor forks itself,
+// Unix-domain sockets for same-host fleets and TCP for cross-host ones. A
+// Channel wraps one connected, non-blocking socket and adds interleave-safe
+// frame writes with a write-stall deadline (a peer that stops reading but
+// keeps the connection open must not wedge the supervisor), and a
+// non-blocking drain into a FrameReader that distinguishes "no bytes yet"
+// from "peer gone".
 //
 // Network faults are injectable as failpoints so the chaos tests can drive
 // every failure arm deterministically without real packet loss.
@@ -46,7 +47,7 @@ bool ParseAddress(const std::string& text, Address* out, std::string* error);
 // One connected byte-stream endpoint. Owns the fd (closed on destruction)
 // and keeps it non-blocking. Not copyable; not thread-safe for reads, but
 // SendEncoded is mutex-serialised so a heartbeat thread and a result
-// thread can share the write side, mirroring FrameSender.
+// thread can share the write side.
 class Channel {
  public:
   Channel() = default;
@@ -89,8 +90,11 @@ class Channel {
  private:
   int fd_ = -1;
   double write_stall_timeout_ms_ = 5000.0;
+  // Serialises writes and Close(): a heartbeat thread may be mid-send when
+  // the session thread closes the fd.
   std::mutex write_mutex_;
-  bool failed_ = false;
+  // Set by either thread (a failed send, a failed drain), read unlocked.
+  std::atomic<bool> failed_{false};
   bool write_stalled_ = false;
   std::string error_;
 };

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "src/dist/channel.h"
+#include "src/dist/net_worker.h"
 #include "src/dist/registry.h"
 #include "src/dist/wire.h"
 #include "src/obs/admin.h"
@@ -21,7 +22,14 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <errno.h>
 #include <poll.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #define CATAPULT_DIST_NET_POSIX 1
+#endif
+#if defined(__linux__)
+#include <sys/prctl.h>
 #endif
 
 namespace catapult::dist {
@@ -39,20 +47,31 @@ Clock::time_point AfterMillis(Clock::time_point from, double ms) {
                     std::chrono::duration<double, std::milli>(ms));
 }
 
+#if defined(CATAPULT_DIST_NET_POSIX)
+std::string DescribeExit(int status) {
+  if (WIFSIGNALED(status)) {
+    return "killed by signal " + std::to_string(WTERMSIG(status));
+  }
+  return "exit code " + std::to_string(WEXITSTATUS(status));
+}
+#endif
+
 }  // namespace
 
 #if defined(CATAPULT_DIST_NET_POSIX)
 
-RemoteFleetOutcome RunRemoteFleet(
+FleetOutcome RunFleet(
     const ShardExecutionSpec& spec, const ShardPlan& plan,
     const DistOptions& options, const RunContext& ctx, DistReport* report,
     std::vector<std::optional<ShardClusterResult>>* cluster_results) {
-  RemoteFleetOutcome outcome;
+  FleetOutcome outcome;
 
+  // Remote members dial a listener; without one, the loop forks its own.
+  const bool remote = options.remote();
   Listener listener;
   if (options.listen_fd >= 0) {
     listener.Adopt(options.listen_fd);
-  } else {
+  } else if (remote) {
     Address addr;
     std::string err;
     if (!ParseAddress(options.listen_address, &addr, &err) ||
@@ -65,7 +84,7 @@ RemoteFleetOutcome RunRemoteFleet(
       return outcome;
     }
   }
-  report->listen_address = listener.address();
+  if (remote) report->listen_address = listener.address();
 
   // Optional live-telemetry endpoint: the handler runs on the admin
   // server's own thread and only ever reads the latest published strings,
@@ -100,17 +119,15 @@ RemoteFleetOutcome RunRemoteFleet(
     }
   }
 
+  // Members heartbeat four times per deadline (carried in JoinAccept).
   const double hb_interval_ms =
-      options.heartbeat_interval_ms > 0.0
-          ? options.heartbeat_interval_ms
-          : std::max(options.heartbeat_timeout_ms / 4.0, 1.0);
+      std::max(options.heartbeat_timeout_ms / 4.0, 1.0);
 
   struct ShardState {
     enum class Phase { kPending, kAssigned, kDone, kQuarantined };
     Phase phase = Phase::kPending;
     size_t attempt = 0;  // failures so far
     Clock::time_point retry_after{};
-    std::string last_error;
   };
   using ShardPhase = ShardState::Phase;
 
@@ -125,18 +142,14 @@ RemoteFleetOutcome RunRemoteFleet(
     Clock::time_point handshake_deadline{};
     // Index into plan.shards, or npos when idle.
     size_t assigned_shard = static_cast<size_t>(-1);
-    std::vector<uint64_t> worker_counters;
-    // Span buffer + trace-id echo from the last ShardDone; accepted into
-    // the outcome only when the echo matches the run's trace id.
-    std::vector<obs::SpanRecord> worker_spans;
-    uint64_t done_trace_id = 0;
-    bool got_done = false;
+    pid_t pid = -1;  // forked child behind this connection, or -1 (remote)
   };
   using ConnState = Conn::State;
   constexpr size_t kNone = static_cast<size_t>(-1);
 
   std::vector<ShardState> shards(plan.shards.size());
   std::vector<std::unique_ptr<Conn>> conns;
+  std::vector<pid_t> children;  // forked and not yet reaped
   WorkerRegistry registry;
   ExponentialBackoff backoff(options.backoff_base_ms, options.backoff_cap_ms);
   outcome.shard_spans.resize(plan.shards.size());
@@ -161,7 +174,6 @@ RemoteFleetOutcome RunRemoteFleet(
 
   auto quarantine = [&](size_t s, const std::string& reason) {
     shards[s].phase = ShardPhase::kQuarantined;
-    shards[s].last_error = reason;
     ++report->quarantined_shards;
     obs::Count(obs::Counter::kDistQuarantines);
     event(ShardEvent::Kind::kShardQuarantined, s, reason);
@@ -169,7 +181,6 @@ RemoteFleetOutcome RunRemoteFleet(
 
   auto fail_shard = [&](size_t s, const std::string& reason) {
     ShardState& st = shards[s];
-    st.last_error = reason;
     st.phase = ShardPhase::kPending;
     ++st.attempt;
     if (st.attempt > options.max_shard_retries) {
@@ -218,37 +229,38 @@ RemoteFleetOutcome RunRemoteFleet(
       }
     }
     c.state = ConnState::kFenced;
+    // A fenced child cannot rejoin (it has nothing to dial), so it is
+    // killed rather than left to drain; the loop respawns a fresh one.
+    if (c.pid > 0) ::kill(c.pid, SIGKILL);
   };
 
-  auto complete_shard = [&](Conn& c) {
+  // Merges the member's counter deltas and (trace-id echo permitting) its
+  // span buffer, and marks its shard done.
+  auto complete_shard = [&](Conn& c, ShardDoneFrame& done) {
     size_t s = c.assigned_shard;
     shards[s].phase = ShardPhase::kDone;
-    for (size_t i = 0;
-         i < c.worker_counters.size() && i < obs::kNumCounters; ++i) {
-      if (c.worker_counters[i] != 0) {
-        obs::Count(static_cast<obs::Counter>(i), c.worker_counters[i]);
+    for (size_t i = 0; i < done.counters.size() && i < obs::kNumCounters;
+         ++i) {
+      if (done.counters[i] != 0) {
+        obs::Count(static_cast<obs::Counter>(i), done.counters[i]);
       }
     }
     // Span shipment: accept the buffer only when the trace-id echo matches
     // the run and no earlier completion already filled this shard's slot —
     // a duplicate or stale-trace buffer is counted and dropped, never
     // merged twice.
-    if (!c.worker_spans.empty()) {
-      if (spec.trace_id != 0 && c.done_trace_id == spec.trace_id &&
+    if (!done.spans.empty()) {
+      if (spec.trace_id != 0 && done.trace_id == spec.trace_id &&
           outcome.shard_spans[s].empty()) {
-        outcome.shard_spans[s] = std::move(c.worker_spans);
+        outcome.shard_spans[s] = std::move(done.spans);
       } else {
-        obs::Count(obs::Counter::kObsSpansDropped, c.worker_spans.size());
+        obs::Count(obs::Counter::kObsSpansDropped, done.spans.size());
       }
     }
     event(ShardEvent::Kind::kShardCompleted, s,
           "clusters=" + std::to_string(plan.shards[s].size()) +
               " worker=" + std::to_string(c.worker_id));
     c.assigned_shard = kNone;
-    c.worker_counters.clear();
-    c.worker_spans.clear();
-    c.done_trace_id = 0;
-    c.got_done = false;
   };
 
   auto handle_frame = [&](Conn& c, const Frame& frame) {
@@ -370,10 +382,10 @@ RemoteFleetOutcome RunRemoteFleet(
           obs::Count(obs::Counter::kDistNetDuplicateClusters);
           break;
         }
-        // Persist the payload under the same envelope a forked worker
-        // writes, then re-validate through the same loader: the supervisor
-        // side of the trust boundary never believes a remote result it
-        // cannot re-derive the binding of.
+        // Persist the payload under the same envelope the in-process
+        // fallback writes, then re-validate through the same loader: the
+        // supervisor side of the trust boundary never believes a member's
+        // result it cannot re-derive the binding of.
         std::string err = SaveShardArtifactPayload(spec, idx, f.payload);
         ShardClusterResult result;
         if (err.empty()) err = LoadShardArtifact(spec, idx, &result);
@@ -386,7 +398,7 @@ RemoteFleetOutcome RunRemoteFleet(
           break;
         }
         (*cluster_results)[idx] = std::move(result);
-        ++outcome.remote_clusters;
+        ++outcome.member_clusters;
         ++report->remote_clusters;
         obs::Count(obs::Counter::kDistNetRemoteClusters);
         break;
@@ -398,12 +410,8 @@ RemoteFleetOutcome RunRemoteFleet(
           break;
         }
         if (c.assigned_shard == kNone || f.shard != c.assigned_shard) break;
-        c.got_done = true;
-        c.worker_counters = std::move(f.counters);
-        c.worker_spans = std::move(f.spans);
-        c.done_trace_id = f.trace_id;
         if (shard_missing(c.assigned_shard).empty()) {
-          complete_shard(c);
+          complete_shard(c, f);
         } else {
           fence(c, "shard-done with clusters still missing");
         }
@@ -411,14 +419,17 @@ RemoteFleetOutcome RunRemoteFleet(
       }
       case FrameType::kShardError: {
         ShardErrorFrame f;
-        if (Decode(frame.payload, &f) && c.assigned_shard != kNone) {
+        if (!Decode(frame.payload, &f)) {
+          c.reader.Poison("bad shard-error");
+          break;
+        }
+        if (c.assigned_shard != kNone) {
           fence(c, "worker reported: " + f.message);
         }
         break;
       }
       default:
-        // Hello/ClusterDone and the serve frames have no meaning on a
-        // membership connection.
+        // The serve frames have no meaning on a membership connection.
         c.reader.Poison("unexpected frame type");
         break;
     }
@@ -464,7 +475,7 @@ RemoteFleetOutcome RunRemoteFleet(
     w.Value(static_cast<uint64_t>(quarantined));
     w.EndObject();
     w.Key("remote_clusters");
-    w.Value(static_cast<uint64_t>(outcome.remote_clusters));
+    w.Value(static_cast<uint64_t>(outcome.member_clusters));
     w.Key("workers_alive");
     w.Value(static_cast<uint64_t>(registry.alive()));
     w.Key("workers");
@@ -488,12 +499,83 @@ RemoteFleetOutcome RunRemoteFleet(
   };
   publish_admin();
 
+  // Forked members run the same session as remote ones, on one end of a
+  // socketpair (DESIGN.md §12). Forks happen only on this thread, and the
+  // supervisor's pool has a single thread during the sharded phase, so the
+  // only other thread that can exist is the admin endpoint's, which holds
+  // no lock the child takes (the child touches neither the admin strings
+  // nor this loop's state; it only reads the copy-on-write database).
+  RemoteWorkerOptions child_options;
+  child_options.fingerprint = spec.fingerprint;
+  child_options.worker_name = "local";
+  child_options.write_stall_timeout_ms = options.write_stall_timeout_ms;
+  child_options.worker_threads = options.worker_threads;
+  auto spawn_child = [&]() -> bool {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return false;
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      return false;
+    }
+    if (pid == 0) {
+      // Child. Drops the supervisor's ends of its siblings' sockets, never
+      // outlives the supervisor, and never returns into the forked copy of
+      // the supervisor's stack (_exit skips atexit handlers, gtest's too).
+      ::close(fds[0]);
+      for (const auto& c : conns) {
+        if (c->channel->fd() >= 0) ::close(c->channel->fd());
+      }
+#if defined(__linux__)
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+#endif
+      ::_exit(RunWorkerSession(*spec.db, child_options, fds[1]));
+    }
+    ::close(fds[1]);
+    auto conn = std::make_unique<Conn>();
+    conn->channel =
+        std::make_unique<Channel>(fds[0], options.write_stall_timeout_ms);
+    conn->handshake_deadline =
+        AfterMillis(Clock::now(), options.heartbeat_timeout_ms);
+    conn->pid = pid;
+    conns.push_back(std::move(conn));
+    children.push_back(pid);
+    ++report->workers_spawned;
+    obs::Count(obs::Counter::kDistWorkersSpawned);
+    event(ShardEvent::Kind::kWorkerSpawned, 0, "pid=" + std::to_string(pid));
+    return true;
+  };
+  // Reaps exited children (all of them, waiting, when `block`), logging
+  // abnormal exit statuses. Liveness never depends on this: a dead child's
+  // connection reaches EOF and is fenced like any remote member's.
+  auto reap_children = [&](bool block) {
+    for (auto it = children.begin(); it != children.end();) {
+      int status = 0;
+      pid_t rc;
+      do {
+        rc = ::waitpid(*it, &status, block ? 0 : WNOHANG);
+      } while (rc < 0 && errno == EINTR);
+      if (rc == 0) {
+        ++it;
+        continue;
+      }
+      if (rc == *it && !(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
+        event(ShardEvent::Kind::kWorkerDied, 0,
+              "pid=" + std::to_string(*it) + ": " + DescribeExit(status));
+      }
+      it = children.erase(it);
+    }
+  };
+
   Clock::time_point no_fleet_since = Clock::now();
   bool had_fleet_gap_timer = true;
 
+  bool finished = false;
   for (;;) {
     Clock::time_point now = Clock::now();
     publish_admin();
+    reap_children(/*block=*/false);
 
     // Work left?
     bool work_left = false;
@@ -505,6 +587,7 @@ RemoteFleetOutcome RunRemoteFleet(
       }
     }
     if (!work_left) {
+      finished = true;
       for (auto& c : conns) {
         if (c->state == ConnState::kActive) {
           c->channel->Send(ShutdownFrame{static_cast<uint32_t>(
@@ -526,6 +609,23 @@ RemoteFleetOutcome RunRemoteFleet(
         }
       }
       break;
+    }
+
+    if (!remote) {
+      // Keep one live child per unfinished shard, up to `processes`.
+      size_t unfinished = 0;
+      for (const ShardState& st : shards) {
+        if (st.phase == ShardPhase::kPending ||
+            st.phase == ShardPhase::kAssigned) {
+          ++unfinished;
+        }
+      }
+      size_t live = 0;
+      for (const auto& c : conns) {
+        if (c->pid > 0 && c->state != ConnState::kFenced) ++live;
+      }
+      const size_t target = std::min(options.processes, unfinished);
+      while (live < target && spawn_child()) ++live;
     }
 
     // Assignment: pending shards (past their backoff) to idle members, in
@@ -571,7 +671,6 @@ RemoteFleetOutcome RunRemoteFleet(
         continue;  // shard stays pending; try the next idle member
       }
       idle->assigned_shard = s;
-      idle->got_done = false;
       st.phase = ShardPhase::kAssigned;
       event(ShardEvent::Kind::kShardAssigned, s,
             "worker=" + std::to_string(idle->worker_id) +
@@ -706,8 +805,8 @@ RemoteFleetOutcome RunRemoteFleet(
         }
       } else if (c->state == ConnState::kHandshaking &&
                  now >= c->handshake_deadline) {
-        c->channel->Close();
-        c->state = ConnState::kFenced;  // drained no more; drop below
+        fence(*c, "handshake timed out");
+        c->channel->Close();  // drained no more; dropped below
       }
     }
 
@@ -720,18 +819,28 @@ RemoteFleetOutcome RunRemoteFleet(
                 conns.end());
   }
 
+  // Wind down the forked children: after a clean finish an active child
+  // exits on the kDone just sent (its socket stays open until then, so the
+  // frame is not lost to a failed heartbeat); any other child is killed.
+  for (auto& c : conns) {
+    if (c->pid > 0 && !(finished && c->state == ConnState::kActive &&
+                        !c->channel->failed())) {
+      ::kill(c->pid, SIGKILL);
+    }
+  }
+  reap_children(/*block=*/true);
   return outcome;
 }
 
 #else  // !CATAPULT_DIST_NET_POSIX
 
-RemoteFleetOutcome RunRemoteFleet(
+FleetOutcome RunFleet(
     const ShardExecutionSpec&, const ShardPlan&, const DistOptions&,
     const RunContext&, DistReport* report,
     std::vector<std::optional<ShardClusterResult>>*) {
   report->events.push_back(ShardEvent{ShardEvent::Kind::kFleetLost, 0,
                                       "sockets unsupported on this platform"});
-  RemoteFleetOutcome outcome;
+  FleetOutcome outcome;
   outcome.fleet_lost = true;
   return outcome;
 }

@@ -11,26 +11,29 @@
 #include "src/obs/trace.h"
 #include "src/util/deadline.h"
 
-// The remote-fleet membership manager (DESIGN.md §14): the supervisor's
-// event loop when workers are separate catapult_worker processes dialing
-// in over sockets rather than forked children. Liveness is tracked purely
-// in-band — heartbeat deadlines and write-stall timeouts on the connection
-// — because there is no pid to waitpid and no SIGCHLD: a SIGKILLed remote
-// worker, a severed cable and a wedged peer all look the same from here
-// and are all handled the same way (fence the generation, reassign the
-// shard's still-missing clusters to a survivor, count the zombie's late
-// frames without applying them).
+// The fleet membership manager (DESIGN.md §12, §14): the supervisor's one
+// event loop. Every worker is a member speaking the same session protocol
+// (src/dist/net_worker.h) — either a child the loop forks onto one end of a
+// socketpair (`--processes`), or a remote catapult_worker dialing the
+// listener. Liveness is tracked in-band for both — heartbeat deadlines and
+// write-stall timeouts on the connection: a SIGKILLed worker, a severed
+// cable and a wedged peer all look the same from here and are all handled
+// the same way (fence the generation, reassign the shard's still-missing
+// clusters to a survivor, count the zombie's late frames without applying
+// them). For forked children the loop additionally SIGKILLs a fenced
+// child, respawns children while work remains, and reaps them with
+// waitpid(WNOHANG) to log their exit status.
 
 namespace catapult::dist {
 
-struct RemoteFleetOutcome {
+struct FleetOutcome {
   // True when the fleet disappeared (or never materialised) with work
   // still pending: the remaining shards must finish via the supervisor's
   // in-process fallback.
   bool fleet_lost = false;
-  // Clusters completed from remote workers' results.
-  size_t remote_clusters = 0;
-  // Per-shard span buffers shipped by remote workers (index-aligned with
+  // Clusters completed from members' results.
+  size_t member_clusters = 0;
+  // Per-shard span buffers shipped by members (index-aligned with
   // plan.shards; empty for shards with no accepted traced completion).
   // Only the first accepted ShardDone whose trace-id echo matches
   // spec.trace_id populates a slot — duplicate or fenced deliveries are
@@ -40,13 +43,14 @@ struct RemoteFleetOutcome {
 };
 
 // Runs the membership/assignment loop over `plan`, filling
-// (*cluster_results)[idx] for every cluster a remote worker completes
-// (validated through the same artifact envelope as fork-mode results).
-// Already-filled entries are respected and never reassigned. Returns when
-// every non-quarantined shard is done, the fleet is lost, or the run's
-// context requests a stop; unfinished clusters are simply left empty for
-// the caller's fallback rungs.
-RemoteFleetOutcome RunRemoteFleet(
+// (*cluster_results)[idx] for every cluster a member completes (validated
+// through the shard-artifact envelope and binding check). Already-filled
+// entries are respected and never reassigned. Members are remote workers
+// when `options` names a listener, else forked children. Returns when every
+// non-quarantined shard is done, the fleet is lost, or the run's context
+// requests a stop, with every forked child reaped; unfinished clusters are
+// simply left empty for the caller's fallback rungs.
+FleetOutcome RunFleet(
     const ShardExecutionSpec& spec, const ShardPlan& plan,
     const DistOptions& options, const RunContext& ctx, DistReport* report,
     std::vector<std::optional<ShardClusterResult>>* cluster_results);

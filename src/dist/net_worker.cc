@@ -17,6 +17,7 @@
 #include "src/util/backoff.h"
 #include "src/util/deadline.h"
 #include "src/util/failpoint.h"
+#include "src/util/thread_pool.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
@@ -85,12 +86,30 @@ std::optional<Frame> WaitFrame(Channel& channel, FrameReader& reader,
   }
 }
 
-// Carries one ShardAssign: computes every cluster and ships the results.
-// Returns true while the connection is still usable, false when it was
-// (deliberately or not) lost and the caller should reconnect.
+// True when every cluster index and member id of `assign` is below
+// `db_size` and no index repeats. Checked before anything is sized from the
+// assignment: the sparse partition below is indexed by cluster index, and
+// ComputeShardCluster indexes the database by member id.
+bool AssignmentFits(const ShardAssignFrame& assign, size_t db_size) {
+  std::vector<bool> seen(db_size, false);
+  for (const ClusterWork& c : assign.clusters) {
+    if (c.index >= db_size || seen[c.index]) return false;
+    seen[c.index] = true;
+    for (GraphId id : c.members) {
+      if (id >= db_size) return false;
+    }
+  }
+  return true;
+}
+
+// Carries one ShardAssign (already bounds-checked by AssignmentFits):
+// computes every cluster, `pool.num_threads()` at a time, and ships the
+// results in assignment order. Returns true while the connection is still
+// usable, false when it was (deliberately or not) lost and the caller
+// should reconnect.
 bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
                 const ShardAssignFrame& assign, Channel& channel,
-                obs::MetricsRegistry& metrics,
+                ThreadPool& pool, obs::MetricsRegistry& metrics,
                 std::atomic<uint64_t>& clusters_done) {
   size_t max_index = 0;
   for (const ClusterWork& c : assign.clusters) {
@@ -125,19 +144,36 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
   RunContext ctx = RunContext(deadline).WithMemory(std::move(budget));
   spec.deadline = deadline;
 
-  // Spans are recorded on this (sequential) session thread, so span ids and
-  // tick consumption are deterministic for a given assignment — the basis
-  // for byte-stable merged traces under fixed clock ticks.
+  // Spans are recorded per cluster. With a 1-thread pool every span opens
+  // on this session thread, so span ids and tick consumption are
+  // deterministic for a given assignment — the basis for byte-stable
+  // merged traces under fixed clock ticks.
   obs::Tracer tracer;
   obs::Tracer* span_sink =
       assign.trace_id != 0 || options.local_tracer != nullptr ? &tracer
                                                               : nullptr;
+  // One-shot kill sites fire on a shard's first attempt only (net_worker.h).
+  const bool first_attempt = assign.attempt == 0;
 
   bool first_result = true;
-  for (const ClusterWork& cluster : assign.clusters) {
-    size_t idx = static_cast<size_t>(cluster.index);
-    obs::Span cluster_span(span_sink, "cluster-" + std::to_string(idx));
-    ShardClusterResult result = ComputeShardCluster(spec, idx, ctx);
+  const size_t wave = pool.num_threads();
+  std::vector<ShardClusterResult> results;
+  for (size_t i = 0; i < assign.clusters.size(); ++i) {
+    if (i % wave == 0) {
+      // Compute the next `wave` clusters at once, one per pool thread.
+      results.assign(std::min(wave, assign.clusters.size() - i), {});
+      pool.ParallelFor(
+          results.size(), 1,
+          [&](size_t k) {
+            size_t idx = static_cast<size_t>(assign.clusters[i + k].index);
+            obs::Span cluster_span(span_sink,
+                                   "cluster-" + std::to_string(idx));
+            results[k] = ComputeShardCluster(spec, idx, ctx);
+          },
+          &metrics);
+    }
+    size_t idx = static_cast<size_t>(assign.clusters[i].index);
+    const ShardClusterResult& result = results[i % wave];
     if (!result.Complete()) {
       // Degraded work never ships: the supervisor retries elsewhere or
       // degrades under its own context via the fallback ladder.
@@ -152,8 +188,19 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
     out.generation = assign.generation;
     out.cluster_index = idx;
     out.payload = EncodeShardResultPayload(spec, idx, result);
+    if (first_result && first_attempt &&
+        CATAPULT_FAILPOINT(kFailpointCorruptShardArtifact)) {
+      // Bind the payload to a neighbouring cluster index: the frame decodes
+      // and the envelope CRC will match, so only the supervisor's binding
+      // check can catch it.
+      out.payload[0] = static_cast<char>(out.payload[0] ^ 0x01);
+    }
     std::string bytes = EncodeFrame(FrameType::kClusterResult, Encode(out));
 
+    if (first_result && first_attempt &&
+        CATAPULT_FAILPOINT(kFailpointKillBeforeCheckpoint)) {
+      ::raise(SIGKILL);
+    }
     if (first_result && CATAPULT_FAILPOINT(kFailpointStallBeforeResult)) {
       // Hold every frame (results and, by test arrangement, heartbeats)
       // past the supervisor's deadline: by the time these bytes land the
@@ -180,7 +227,10 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
       // resend): the supervisor must treat results as idempotent.
       channel.SendEncoded(bytes);
     }
-    if (first_result && CATAPULT_FAILPOINT(kFailpointKillAfterFirstResult)) {
+    if (first_result &&
+        (CATAPULT_FAILPOINT(kFailpointKillAfterFirstResult) ||
+         (first_attempt &&
+          CATAPULT_FAILPOINT(kFailpointKillAfterCheckpoint)))) {
       ::raise(SIGKILL);
     }
     first_result = false;
@@ -227,6 +277,9 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
                const JoinAcceptFrame& accept) {
   obs::MetricsRegistry metrics;
   obs::ScopedMetricsScope metrics_scope(&metrics);
+  // Worker-local pool, created after any fork: every thread this session
+  // computes on is its own.
+  ThreadPool pool(options.worker_threads);
 
   std::atomic<uint64_t> clusters_done{0};
   std::atomic<uint64_t> current_shard{0};
@@ -275,12 +328,31 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
     switch (frame->type) {
       case FrameType::kShardAssign: {
         ShardAssignFrame assign;
-        if (!Decode(frame->payload, &assign)) {
+        if (!Decode(frame->payload, &assign) ||
+            !AssignmentFits(assign, db.size())) {
           stop_hb();
           return kWorkerExitProtocol;
         }
+        const bool first_attempt = assign.attempt == 0;
+        if (first_attempt && CATAPULT_FAILPOINT(kFailpointHangHeartbeat)) {
+          // A wedged worker: alive as a process, silent on the socket,
+          // making no progress. Only the heartbeat deadline can clear it.
+          stop_hb();
+          for (;;) ::pause();
+        }
+        if (CATAPULT_FAILPOINT(kFailpointFailAlways)) {
+          channel.Send(ShardErrorFrame{assign.shard,
+                                       "injected: worker.fail_always"},
+                       FrameType::kShardError);
+          stop_hb();
+          return kWorkerExitInjected;
+        }
+        if (first_attempt && CATAPULT_FAILPOINT(kFailpointExitNonzero)) {
+          stop_hb();
+          return kWorkerExitInjectedExit;  // abnormal exit, no result frame
+        }
         current_shard.store(assign.shard, std::memory_order_relaxed);
-        if (!CarryShard(db, options, assign, channel, metrics,
+        if (!CarryShard(db, options, assign, channel, pool, metrics,
                         clusters_done)) {
           stop_hb();
           return -1;
@@ -303,6 +375,34 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
         break;  // nothing else is addressed to an active worker
     }
   }
+}
+
+// Sends the JoinRequest over a connected `channel` and waits for the
+// verdict. Returns 0 with `*accept` filled when admitted, -1 when the
+// connection failed before a verdict (worth another dial), or the exit
+// code for a verdict retrying cannot change.
+int Join(const RemoteWorkerOptions& options, uint64_t prev_worker_id,
+         uint64_t prev_generation, Channel& channel, FrameReader& reader,
+         JoinAcceptFrame* accept) {
+  JoinRequestFrame req;
+  req.protocol = options.protocol;
+  req.fingerprint = options.fingerprint;
+  req.shard_namespace = options.shard_namespace;
+  req.worker_name = options.worker_name;
+  req.prev_worker_id = prev_worker_id;
+  req.prev_generation = prev_generation;
+  req.pid = static_cast<uint64_t>(::getpid());
+  if (!channel.Send(req, FrameType::kJoinRequest)) return -1;
+  bool lost = false;
+  std::optional<Frame> reply =
+      WaitFrame(channel, reader, options.handshake_timeout_ms, &lost);
+  if (!reply.has_value()) return -1;
+  if (reply->type == FrameType::kJoinReject) {
+    return kWorkerExitRejected;  // typed refusal: retrying cannot help
+  }
+  if (reply->type != FrameType::kJoinAccept) return kWorkerExitProtocol;
+  if (!Decode(reply->payload, accept)) return kWorkerExitProtocol;
+  return 0;
 }
 
 }  // namespace
@@ -332,32 +432,15 @@ int RunRemoteWorker(const GraphDatabase& db,
       continue;
     }
     Channel channel(fd, options.write_stall_timeout_ms);
-    JoinRequestFrame req;
-    req.protocol = options.protocol;
-    req.fingerprint = options.fingerprint;
-    req.shard_namespace = options.shard_namespace;
-    req.worker_name = options.worker_name;
-    req.prev_worker_id = prev_worker_id;
-    req.prev_generation = prev_generation;
-    req.pid = static_cast<uint64_t>(::getpid());
-    if (!channel.Send(req, FrameType::kJoinRequest)) {
-      ++failures;
-      continue;
-    }
     FrameReader reader;
-    bool lost = false;
-    std::optional<Frame> reply =
-        WaitFrame(channel, reader, options.handshake_timeout_ms, &lost);
-    if (!reply.has_value()) {
+    JoinAcceptFrame accept;
+    int joined = Join(options, prev_worker_id, prev_generation, channel,
+                      reader, &accept);
+    if (joined < 0) {
       ++failures;
       continue;
     }
-    if (reply->type == FrameType::kJoinReject) {
-      return kWorkerExitRejected;  // typed refusal: retrying cannot help
-    }
-    if (reply->type != FrameType::kJoinAccept) return kWorkerExitProtocol;
-    JoinAcceptFrame accept;
-    if (!Decode(reply->payload, &accept)) return kWorkerExitProtocol;
+    if (joined > 0) return joined;
     failures = 0;
     prev_worker_id = accept.worker_id;
     prev_generation = accept.generation;
@@ -367,10 +450,27 @@ int RunRemoteWorker(const GraphDatabase& db,
   }
 }
 
+int RunWorkerSession(const GraphDatabase& db,
+                     const RemoteWorkerOptions& options, int fd) {
+  ::signal(SIGPIPE, SIG_IGN);
+  Channel channel(fd, options.write_stall_timeout_ms);
+  FrameReader reader;
+  JoinAcceptFrame accept;
+  int joined = Join(options, 0, 0, channel, reader, &accept);
+  if (joined < 0) return kWorkerExitLost;
+  if (joined > 0) return joined;
+  int session = RunSession(db, options, channel, reader, accept);
+  return session >= 0 ? session : kWorkerExitLost;
+}
+
 #else  // !CATAPULT_DIST_NET_POSIX
 
 int RunRemoteWorker(const GraphDatabase&, const RemoteWorkerOptions&) {
   return kWorkerExitConnectFailed;
+}
+
+int RunWorkerSession(const GraphDatabase&, const RemoteWorkerOptions&, int) {
+  return kWorkerExitLost;
 }
 
 #endif  // CATAPULT_DIST_NET_POSIX

@@ -12,28 +12,31 @@
 #include "src/util/deadline.h"
 #include "src/util/rng.h"
 
-// The supervisor half of sharded multi-process execution (DESIGN.md §12).
-// The supervisor plans shards over the coarse partition, forks one worker
-// per shard (at most `processes` concurrently), and supervises them:
-// worker death is detected via waitpid, hangs via a heartbeat deadline on
-// the worker's pipe; failed shards are retried under deterministic capped
-// exponential backoff (src/util/backoff.h), each retry resuming from the
-// shard's durable per-cluster artifacts; a shard exhausting its failure
-// budget is quarantined and executed in-process as the final rung of the
-// degradation ladder. The merged result is bit-identical to a 1-process
-// run: each coarse cluster's work depends only on its pre-split rng stream
-// and the supervisor concatenates results in coarse-cluster order.
+// The supervisor half of sharded multi-process execution (DESIGN.md §12,
+// §14). The supervisor plans shards over the coarse partition and hands
+// them to a fleet of workers through one membership loop
+// (src/dist/membership.h): either `processes` children it forks onto
+// socketpairs, or remote catapult_worker processes that dial its listener.
+// Both kinds run the same worker session (src/dist/net_worker.h) and are
+// supervised the same way: hangs via heartbeat deadlines, deaths via EOF;
+// failed shards are retried under deterministic capped exponential backoff
+// (src/util/backoff.h), each retry assigned only the clusters whose results
+// have not yet been accepted; a shard exhausting its failure budget is
+// quarantined and executed in-process as the final rung of the degradation
+// ladder. The merged result is bit-identical to a 1-process run: each
+// coarse cluster's work depends only on its pre-split rng stream and the
+// supervisor concatenates results in coarse-cluster order.
 
 namespace catapult::dist {
 
 struct DistOptions {
-  size_t processes = 2;        // concurrent worker process budget
+  size_t processes = 2;        // shard count; forked children alive at once
   size_t max_shard_retries = 2;  // failures tolerated per shard
+  // Members heartbeat every heartbeat_timeout_ms / 4.
   double heartbeat_timeout_ms = 2000.0;
-  double heartbeat_interval_ms = 0.0;  // 0 = heartbeat_timeout_ms / 4
   double backoff_base_ms = 25.0;
   double backoff_cap_ms = 1000.0;
-  size_t worker_threads = 1;  // threads inside each worker process
+  size_t worker_threads = 1;  // session pool size inside each forked child
 
   bool fine_enabled = true;
   FineClusteringOptions fine;
@@ -48,7 +51,7 @@ struct DistOptions {
   size_t mem_soft_limit_bytes = 0;
   size_t mem_hard_limit_bytes = 0;
 
-  // --- Remote fleet (socket transport, DESIGN.md §14) -----------------------
+  // --- Remote fleet (DESIGN.md §14) -----------------------------------------
   // When either a listen address or an adopted listening fd is supplied,
   // the supervisor supervises remote catapult_worker processes that dial
   // in, instead of forking workers. "unix:PATH" or "tcp:HOST:PORT".
@@ -57,6 +60,8 @@ struct DistOptions {
   // tests bind tcp port 0 themselves to learn the real address before the
   // run starts. -1 = disabled.
   int listen_fd = -1;
+  // True when workers dial in (a listen address or fd is set).
+  bool remote() const { return !listen_address.empty() || listen_fd >= 0; }
   // How long the supervisor waits with work pending but no live member
   // (and no handshake in progress) before declaring the fleet lost and
   // finishing via the in-process fallback.
@@ -64,7 +69,8 @@ struct DistOptions {
   // A send that cannot make progress for this long marks the connection
   // stalled (half-open peer) and fences the member.
   double write_stall_timeout_ms = 5000.0;
-  // Optional admin endpoint for the remote-fleet supervision loop
+
+  // Optional admin endpoint for the supervision loop
   // ("unix:PATH" / "tcp:HOST:PORT", empty = disabled): serves /metrics
   // (Prometheus text), /statusz (shard + fleet state JSON) and /healthz
   // while the fleet runs. Best-effort — a bind failure never fails the run.
@@ -85,7 +91,7 @@ struct ShardedPhasesResult {
 // clustering is enabled (none otherwise) — the same draws as the
 // in-process path, so the parent stream's position after this call is
 // mode-independent. `report` (required) receives supervision diagnostics.
-// On non-POSIX platforms every shard executes in-process.
+// On platforms without sockets every shard executes in-process.
 ShardedPhasesResult RunShardedClusterPhases(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& coarse,
     const DistOptions& options, Rng& rng, const RunContext& ctx,

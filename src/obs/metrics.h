@@ -69,15 +69,15 @@ enum class Counter : uint32_t {
   kMemSoftPressure,      // charges that crossed the soft limit
   kFailpointFires,       // armed failpoints that actually fired
   kDistWorkersSpawned,   // shard worker processes forked
-  kDistWorkerDeaths,     // abnormal worker exits observed via waitpid
-  kDistWorkerHangs,      // heartbeat deadline misses (worker killed)
+  kDistWorkerDeaths,     // members fenced (lost, hung, stalled, failed)
+  kDistWorkerHangs,      // heartbeat deadline misses (member fenced)
   kDistShardRetries,     // shards requeued after a worker failure
   kDistBackoffWaits,     // retry launches delayed by the backoff policy
   kDistQuarantines,      // shards that exhausted their failure budget
   kDistFallbacks,        // quarantined shards executed in-process
   kDistHeartbeats,       // heartbeat frames received by the supervisor
-  kDistArtifactsReused,  // clusters restored from prior-attempt artifacts
-  kDistArtifactsRejected,  // shard artifacts that failed validation
+  kDistArtifactsReused,  // clusters restored from prior-run artifacts
+  kDistArtifactsRejected,  // shipped results that failed validation
   kServeAccepted,          // client connections accepted by the server
   kServeDisconnects,       // client connections closed (any reason)
   kServeRequests,          // well-formed selection requests received
@@ -97,7 +97,7 @@ enum class Counter : uint32_t {
   kDistNetFencedFrames,    // frames from a fenced generation (never applied)
   kDistNetDuplicateClusters,  // re-delivered cluster results (idempotent)
   kDistNetWriteStalls,     // sends that hit the write-stall deadline
-  kDistNetRemoteClusters,  // cluster results accepted from remote workers
+  kDistNetRemoteClusters,  // cluster results accepted from fleet members
   kObsSpansMerged,         // worker spans imported into the merged trace
   kObsSpansDropped,        // shipped spans discarded (trace mismatch/no tracer)
   kServeSlowRequests,      // requests whose run time crossed --slow-request-ms
@@ -113,7 +113,7 @@ enum class Gauge : uint32_t {
   kPoolThreads,          // resolved worker-thread count of the run
   kServeQueueDepthPeak,  // peak admission-queue depth observed
   kServeSessionsPeak,    // peak concurrent client sessions
-  kDistWorkersPeak,      // peak concurrent remote-fleet members
+  kDistWorkersPeak,      // peak concurrent fleet members
   kCount
 };
 

@@ -420,7 +420,7 @@ struct Server::Impl {
         return true;
       }
       default:
-        // Clients have no business sending worker-pipe or server->client
+        // Clients have no business sending shard-worker or server->client
         // frames; framing discipline is gone.
         return false;
     }

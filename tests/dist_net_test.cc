@@ -192,7 +192,7 @@ TEST(DistNetWireTest, ClusterResultRoundTripsPayloadBytes) {
   in.shard = 3;
   in.generation = 2;
   in.cluster_index = 11;
-  in.payload = std::string("\x00\x01\x02binary\xff payload", 20);
+  in.payload = std::string("\x00\x01\x02" "binary\xff payload", 18);
   dist::ClusterResultFrame out;
   ASSERT_TRUE(dist::Decode(dist::Encode(in), &out));
   EXPECT_EQ(out.shard, 3u);
@@ -487,12 +487,12 @@ TEST_F(DistNetChannelTest, TcpPortZeroResolvesAndRoundTrips) {
   ASSERT_GE(server_fd, 0);
   dist::Channel server(server_fd);
 
-  ASSERT_TRUE(client.Send(dist::HelloFrame{9, 1, 42},
-                          dist::FrameType::kHello));
+  ASSERT_TRUE(client.Send(dist::HeartbeatFrame{9, 1, 42},
+                          dist::FrameType::kHeartbeat));
   dist::FrameReader reader;
   auto got = ReadOne(server, reader);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->type, dist::FrameType::kHello);
+  EXPECT_EQ(got->type, dist::FrameType::kHeartbeat);
 }
 
 TEST_F(DistNetChannelTest, ShortWritesStillDeliverWholeFrames) {

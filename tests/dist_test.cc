@@ -1,11 +1,11 @@
 // Chaos suite for sharded multi-process execution (DESIGN.md §12): the
-// backoff policy, the shard planner, the pipe wire protocol, per-cluster
-// shard artifacts, and — the acceptance bar — that a multi-process run
-// survives every injected kill site (worker death before/after checkpoint,
-// artifact corruption, nonzero exits, heartbeat hangs, unconditional
-// failure driving quarantine and in-process fallback) while producing a
-// selection bit-identical to the in-process run, down to the checkpoint
-// bytes the two modes leave behind.
+// backoff policy, the shard planner, the wire protocol, per-cluster shard
+// artifacts, the worker session's input checks, and — the acceptance bar —
+// that a multi-process run survives every injected kill site (worker death
+// before/after its first shipped result, corrupt results, nonzero exits,
+// heartbeat hangs, unconditional failure driving quarantine and in-process
+// fallback) while producing a selection bit-identical to the in-process
+// run, down to the checkpoint bytes the two modes leave behind.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,8 @@
 #include "src/core/catapult.h"
 #include "src/core/report.h"
 #include "src/data/molecule_generator.h"
+#include "src/dist/channel.h"
+#include "src/dist/net_worker.h"
 #include "src/dist/shard_plan.h"
 #include "src/dist/wire.h"
 #include "src/dist/worker.h"
@@ -29,6 +31,14 @@
 #include "src/util/backoff.h"
 #include "src/util/failpoint.h"
 #include "src/util/rng.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#define CATAPULT_DIST_TEST_POSIX 1
+#endif
 
 namespace catapult {
 namespace {
@@ -130,6 +140,14 @@ bool HasEvent(const std::vector<dist::ShardEvent>& events,
   return false;
 }
 
+// The value of `key=` in an event detail such as "worker=1 clusters=2
+// attempt=0", or -1 when absent.
+long DetailValue(const std::string& detail, const std::string& key) {
+  size_t pos = detail.find(key + "=");
+  if (pos == std::string::npos) return -1;
+  return std::stol(detail.substr(pos + key.size() + 1));
+}
+
 // --- backoff policy ---------------------------------------------------------
 
 TEST(BackoffTest, DeterministicDoublingUpToCap) {
@@ -196,13 +214,10 @@ TEST(ShardPlanTest, FewerClustersThanShardsYieldsSingletons) {
 TEST(WireTest, AllFrameTypesRoundTrip) {
   dist::FrameReader reader;
   std::string stream;
-  stream += dist::EncodeFrame(dist::FrameType::kHello,
-                              dist::Encode(dist::HelloFrame{3, 1, 4242}));
+  stream += dist::EncodeFrame(dist::FrameType::kHeartbeat,
+                              dist::Encode(dist::HeartbeatFrame{3, 1, 4242}));
   stream += dist::EncodeFrame(dist::FrameType::kHeartbeat,
                               dist::Encode(dist::HeartbeatFrame{3, 17, 2}));
-  stream +=
-      dist::EncodeFrame(dist::FrameType::kClusterDone,
-                        dist::Encode(dist::ClusterDoneFrame{3, 9, true}));
   dist::ShardDoneFrame done{3, 5, std::vector<uint64_t>(obs::kNumCounters, 0)};
   done.counters[2] = 77;
   stream += dist::EncodeFrame(dist::FrameType::kShardDone, dist::Encode(done));
@@ -212,27 +227,20 @@ TEST(WireTest, AllFrameTypesRoundTrip) {
 
   reader.Feed(stream.data(), stream.size());
 
-  auto hello = reader.Next();
-  ASSERT_TRUE(hello.has_value());
-  EXPECT_EQ(hello->type, dist::FrameType::kHello);
-  dist::HelloFrame h;
-  ASSERT_TRUE(dist::Decode(hello->payload, &h));
+  auto first = reader.Next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->type, dist::FrameType::kHeartbeat);
+  dist::HeartbeatFrame h;
+  ASSERT_TRUE(dist::Decode(first->payload, &h));
   EXPECT_EQ(h.shard, 3u);
-  EXPECT_EQ(h.attempt, 1u);
-  EXPECT_EQ(h.pid, 4242u);
+  EXPECT_EQ(h.seq, 1u);
+  EXPECT_EQ(h.clusters_done, 4242u);
 
   auto hb = reader.Next();
   ASSERT_TRUE(hb.has_value());
   dist::HeartbeatFrame hbf;
   ASSERT_TRUE(dist::Decode(hb->payload, &hbf));
   EXPECT_EQ(hbf.seq, 17u);
-
-  auto cd = reader.Next();
-  ASSERT_TRUE(cd.has_value());
-  dist::ClusterDoneFrame cdf;
-  ASSERT_TRUE(dist::Decode(cd->payload, &cdf));
-  EXPECT_EQ(cdf.cluster_index, 9u);
-  EXPECT_TRUE(cdf.reused);
 
   auto sd = reader.Next();
   ASSERT_TRUE(sd.has_value());
@@ -299,6 +307,17 @@ TEST(WireTest, BadMagicAndOversizedPayloadPoison) {
     reader.Feed(header.data(), header.size());
     EXPECT_FALSE(reader.Next().has_value());
     EXPECT_TRUE(reader.corrupt());
+  }
+  // The retired pipe-era types 1 (Hello) and 3 (ClusterDone) are unknown
+  // types now: a well-formed frame carrying either poisons the reader.
+  for (char retired : {'\x01', '\x03'}) {
+    std::string frame = dist::EncodeFrame(dist::FrameType::kHeartbeat, "");
+    frame[4] = retired;
+    dist::FrameReader reader;
+    reader.Feed(frame.data(), frame.size());
+    EXPECT_FALSE(reader.Next().has_value());
+    EXPECT_TRUE(reader.corrupt());
+    EXPECT_EQ(reader.error(), "unknown frame type");
   }
 }
 
@@ -522,10 +541,27 @@ TEST_F(DistChaosTest, RecoversFromKillAfterCheckpointReusingArtifacts) {
   CatapultResult result = RunChaos(dist::kFailpointKillAfterCheckpoint, -1);
   const dist::DistReport& d = result.execution.dist;
   EXPECT_GE(d.worker_deaths, 1u);
-  // The killed worker checkpointed its first cluster before dying; the
-  // retry must resume from that artifact, not recompute it.
-  EXPECT_GE(d.artifacts_reused, 1u);
-  EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kArtifactReused));
+  // The killed worker shipped its first cluster before dying, and the
+  // supervisor accepted (and checkpointed) it; the retry must be assigned
+  // only the clusters still missing, not recompute the shipped one.
+  std::vector<long> shard_size(d.shards, -1);
+  for (const dist::ShardEvent& e : d.events) {
+    if (e.kind == dist::ShardEvent::Kind::kShardCompleted) {
+      shard_size[e.shard] = DetailValue(e.detail, "clusters");
+    }
+  }
+  size_t short_retries = 0;
+  for (const dist::ShardEvent& e : d.events) {
+    if (e.kind != dist::ShardEvent::Kind::kShardAssigned ||
+        DetailValue(e.detail, "attempt") < 1) {
+      continue;
+    }
+    ASSERT_GT(shard_size[e.shard], 0) << e.detail;
+    EXPECT_LT(DetailValue(e.detail, "clusters"), shard_size[e.shard])
+        << e.detail;
+    ++short_retries;
+  }
+  EXPECT_GE(short_retries, 1u);
 }
 
 TEST_F(DistChaosTest, RejectsCorruptShardArtifactAndRecomputes) {
@@ -627,6 +663,151 @@ TEST_F(DistChaosTest, BitFlippedShardArtifactReadResolvesToRestart) {
   EXPECT_GE(d.artifacts_rejected + d.shard_retries, 1u);
 }
 
+// --- worker session: hostile supervisor input ------------------------------
+
+#if defined(CATAPULT_DIST_TEST_POSIX)
+
+// Plays supervisor on one end of a socketpair against a forked worker
+// session: admits the worker, sends `assign`, and returns the worker's exit
+// code (128 + signal when it died by a signal, -1 when it had not exited
+// within 10 s).
+int SessionExitAfterAssign(const GraphDatabase& db,
+                           const dist::ShardAssignFrame& assign) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return -1;
+  pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    failpoint::DisarmAll();
+    ::_exit(dist::RunWorkerSession(db, dist::RemoteWorkerOptions{}, fds[1]));
+  }
+  ::close(fds[1]);
+  dist::Channel channel(fds[0]);
+  dist::FrameReader reader;
+  bool assigned = false;
+  int status = 0;
+  pid_t rc = 0;
+  for (int spin = 0; spin < 10000 && rc == 0; ++spin) {
+    channel.DrainInto(&reader);
+    while (std::optional<dist::Frame> frame = reader.Next()) {
+      if (assigned || frame->type != dist::FrameType::kJoinRequest) continue;
+      dist::JoinAcceptFrame accept;
+      accept.worker_id = 1;
+      accept.generation = 1;
+      channel.Send(accept, dist::FrameType::kJoinAccept);
+      channel.Send(assign, dist::FrameType::kShardAssign);
+      assigned = true;
+    }
+    rc = ::waitpid(pid, &status, WNOHANG);
+    if (rc == 0) ::usleep(1000);
+  }
+  if (rc == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    return -1;
+  }
+  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
+  return WEXITSTATUS(status);
+}
+
+TEST(DistWorkerSessionTest, RejectsAssignmentsOutsideTheDatabase) {
+  GraphDatabase db = SmallDb();
+  auto one_cluster = [&](uint64_t index, GraphId member) {
+    dist::ShardAssignFrame assign;
+    assign.fine_enabled = false;
+    dist::ClusterWork work;
+    work.index = index;
+    work.members = {0, member};
+    assign.clusters.push_back(work);
+    return assign;
+  };
+  // A cluster index that would wrap the sparse partition's size to 0.
+  EXPECT_EQ(SessionExitAfterAssign(db, one_cluster(UINT64_MAX, 1)),
+            dist::kWorkerExitProtocol);
+  // A cluster index far past any real partition (would throw bad_alloc).
+  EXPECT_EQ(SessionExitAfterAssign(db, one_cluster(uint64_t{1} << 40, 1)),
+            dist::kWorkerExitProtocol);
+  // A member id past the end of the database.
+  EXPECT_EQ(SessionExitAfterAssign(
+                db, one_cluster(0, static_cast<GraphId>(db.size()))),
+            dist::kWorkerExitProtocol);
+  // The same cluster twice in one assignment.
+  dist::ShardAssignFrame repeated = one_cluster(2, 1);
+  repeated.clusters.push_back(repeated.clusters[0]);
+  EXPECT_EQ(SessionExitAfterAssign(db, repeated), dist::kWorkerExitProtocol);
+}
+
+// A member whose stream carries a CRC-valid but undecodable frame is
+// fenced as a poisoned stream, whatever the frame type; the run still
+// completes bit-identically through the fallback.
+TEST_F(DistTest, MalformedMemberFramesPoisonTheConnection) {
+  GraphDatabase db = SmallDb();
+  CatapultOptions base = FastOptions();
+  CatapultResult expected = RunCatapult(db, base);
+  ASSERT_TRUE(expected.ok());
+  const uint64_t fingerprint = ConfigFingerprint(base, db);
+  const std::string dir = ScratchDir("poison");
+
+  const std::pair<dist::FrameType, const char*> inputs[] = {
+      {dist::FrameType::kShardError, "bad shard-error"},
+      {dist::FrameType::kHeartbeat, "bad heartbeat"},
+      {dist::FrameType::kShardDone, "bad shard-done"},
+  };
+  for (const auto& [type, reason] : inputs) {
+    SCOPED_TRACE(reason);
+    dist::Address addr;
+    std::string error;
+    ASSERT_TRUE(dist::ParseAddress("unix:" + dir + "/s.sock", &addr, &error));
+    dist::Listener listener;
+    ASSERT_EQ(listener.Listen(addr), "");
+
+    // The fake member joins, waits for its assignment, then sends one
+    // frame whose payload no decoder accepts.
+    std::thread member([&, type = type] {
+      int fd = dist::Dial(addr, 2000.0, &error);
+      if (fd < 0) return;
+      dist::Channel channel(fd);
+      dist::JoinRequestFrame join;
+      join.fingerprint = fingerprint;
+      channel.Send(join, dist::FrameType::kJoinRequest);
+      dist::FrameReader reader;
+      for (int spin = 0; spin < 20000; ++spin) {
+        if (channel.DrainInto(&reader) != dist::Channel::DrainStatus::kOk) {
+          return;
+        }
+        while (std::optional<dist::Frame> frame = reader.Next()) {
+          if (frame->type == dist::FrameType::kShardAssign) {
+            channel.SendEncoded(dist::EncodeFrame(type, "\x01"));
+          }
+        }
+        ::usleep(1000);
+      }
+    });
+
+    CatapultOptions sharded = DistOptionsOf(base, 2);
+    sharded.dist_listen_fd = listener.fd();
+    sharded.dist_join_timeout_ms = 300.0;
+    CatapultResult actual = RunCatapult(db, sharded);
+    listener.Close();
+    member.join();
+    ASSERT_TRUE(actual.ok());
+    ExpectSameResult(expected, actual);
+
+    bool poisoned = false;
+    for (const dist::ShardEvent& e : actual.execution.dist.events) {
+      if (e.kind == dist::ShardEvent::Kind::kWorkerFenced &&
+          e.detail.find(std::string("poisoned stream: ") + reason) !=
+              std::string::npos) {
+        poisoned = true;
+      }
+    }
+    EXPECT_TRUE(poisoned);
+    EXPECT_GE(actual.execution.dist.worker_deaths, 1u);
+  }
+}
+
+#endif  // CATAPULT_DIST_TEST_POSIX
+
 // --- supervision under stop requests ----------------------------------------
 
 TEST_F(DistTest, DeadlineDuringShardedPhaseDegradesGracefully) {
@@ -670,6 +851,9 @@ TEST_F(DistTest, SupervisionCountersAndReportJsonExposed) {
   EXPECT_EQ(snap.counter(obs::Counter::kDistWorkersSpawned),
             d.workers_spawned);
   EXPECT_GE(snap.counter(obs::Counter::kDistWorkersSpawned), d.shards);
+  // Forked workers are admitted through the same handshake as remote ones.
+  EXPECT_EQ(snap.counter(obs::Counter::kDistNetJoins),
+            snap.counter(obs::Counter::kDistWorkersSpawned));
   EXPECT_EQ(snap.counter(obs::Counter::kDistHeartbeats), d.heartbeats);
   // Worker-side counters crossed the process fence: the workers did all the
   // CSG folding, yet the merged registry still saw it.

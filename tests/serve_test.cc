@@ -400,7 +400,7 @@ TEST_F(ServeTest, UnexpectedFrameTypePoisonsStream) {
             "");
   serve::ServeClient bad;
   ASSERT_EQ(bad.Connect(server.socket_path()), "");
-  // A worker-pipe frame type has no business on a serve socket.
+  // A shard-worker frame type has no business on a serve socket.
   dist::HeartbeatFrame heartbeat;
   ASSERT_TRUE(bad.SendRawBytes(
       dist::EncodeFrame(dist::FrameType::kHeartbeat, Encode(heartbeat))));
