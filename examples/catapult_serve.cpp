@@ -38,17 +38,15 @@
 //   3  invalid pipeline options
 
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <string>
 
+#include "cli_flags.h"
 #include "src/graph/io.h"
 #include "src/obs/clock.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/serve/server.h"
 #include "src/util/signal.h"
-#include "src/util/thread_pool.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
@@ -58,46 +56,12 @@
 namespace {
 
 using namespace catapult;
+using cli::Flags;
 
 constexpr int kExitOk = 0;
 constexpr int kExitUsage = 1;
 constexpr int kExitParseError = 2;
 constexpr int kExitOptionsError = 3;
-
-// Minimal flag parser: --name value pairs (same shape as catapult_cli).
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_.emplace_back(argv[i] + 2, argv[i + 1]);
-      }
-    }
-    for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0 &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        values_.emplace_back(argv[i] + 2, "true");
-      }
-    }
-  }
-
-  std::optional<std::string> Get(const std::string& name) const {
-    for (const auto& [key, value] : values_) {
-      if (key == name) return value;
-    }
-    return std::nullopt;
-  }
-
-  long GetInt(const std::string& name, long fallback) const {
-    auto v = Get(name);
-    return v ? std::atol(v->c_str()) : fallback;
-  }
-
-  bool GetBool(const std::string& name) const { return Get(name).has_value(); }
-
- private:
-  std::vector<std::pair<std::string, std::string>> values_;
-};
 
 int Usage() {
   std::fprintf(stderr,
@@ -117,20 +81,10 @@ int main(int argc, char** argv) {
   auto socket_path = flags.Get("socket");
   if (!db_path || !socket_path) return Usage();
 
-  IngestOptions ingest;
-  ingest.limits.max_vertices_per_graph = static_cast<size_t>(flags.GetInt(
-      "max-graph-vertices",
-      static_cast<long>(ingest.limits.max_vertices_per_graph)));
-  ingest.limits.max_edges_per_graph = static_cast<size_t>(
-      flags.GetInt("max-graph-edges",
-                   static_cast<long>(ingest.limits.max_edges_per_graph)));
-  ingest.limits.max_graphs = static_cast<size_t>(flags.GetInt("max-graphs", 0));
-  ingest.strict = flags.GetBool("strict-parse");
-
   IngestReport ingest_report;
   ParseError parse_error;
-  auto db = ReadDatabaseFromFile(*db_path, ingest, &ingest_report,
-                                 &parse_error);
+  auto db = ReadDatabaseFromFile(*db_path, cli::IngestLimitsFromFlags(flags),
+                                 &ingest_report, &parse_error);
   if (!db) {
     std::fprintf(stderr, "%s: %s\n", db_path->c_str(),
                  parse_error.message.empty() ? "cannot read"
@@ -161,20 +115,8 @@ int main(int argc, char** argv) {
   options.drain_timeout_ms =
       static_cast<double>(flags.GetInt("drain-timeout-ms", 2000));
 
-  options.pipeline.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.pipeline.use_sampling = flags.GetBool("sampling");
-  options.pipeline.ingest_digest = ingest_report.quarantine_digest;
-  options.pipeline.clustering.fine_mcs.node_budget = 5000;
-  if (auto threads = flags.Get("threads")) {
-    long n = std::atol(threads->c_str());
-    options.pipeline.threads =
-        n <= 0 ? ThreadPool::HardwareThreads() : static_cast<size_t>(n);
-  }
-  long mem_budget_mb = flags.GetInt("mem-budget-mb", 0);
-  if (mem_budget_mb > 0) {
-    options.pipeline.mem_hard_limit_bytes =
-        static_cast<size_t>(mem_budget_mb) << 20;
-  }
+  options.pipeline =
+      cli::PipelineOptionsFromFlags(flags, ingest_report.quarantine_digest);
   if (auto admin = flags.Get("admin-listen")) options.admin_listen = *admin;
   if (auto reqlog = flags.Get("request-log")) {
     options.request_log_path = *reqlog;

@@ -5,8 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "src/cluster/feature_vectors.h"
 #include "src/cluster/kmeans.h"
@@ -186,11 +188,25 @@ ClusteringResult RunCoarseStages(const GraphDatabase& db,
   return CoarseClusteringStage(db, all, options.clustering, rng, ctx);
 }
 
-// Context merge shared by the prepared-corpus entry points: the effective
-// deadline is the earlier of the caller's and options.deadline_ms, option
-// memory limits supersede the caller's ledger, and a pool is owned when the
-// caller brought none (or asked for a specific thread count). Mirrors the
-// merge at the top of RunCatapult.
+// The one context merge, run exactly once per entry-point call: it arms the
+// options' deadline and creates the options' memory ledger, so the pipeline
+// halves take the merged context and never merge again.
+//
+// The effective deadline is the earlier of the caller's context and
+// options.deadline_ms; the cancellation token is shared either way. A
+// memory budget configured in the options supersedes the (by default
+// unlimited) ledger of the caller's context. A pool carried by the caller's
+// context is reused when the options don't ask for a specific count;
+// otherwise the run owns a pool sized by options.threads (a 1-thread pool
+// spawns no threads and executes inline, so the default path stays exactly
+// sequential).
+//
+// Sharded mode (processes > 1) forces a 1-thread supervisor pool instead:
+// forking a multithreaded process is undefined behaviour territory (only
+// the forking thread survives in the child), so the supervisor stays
+// single-threaded until every fork is behind it; each worker builds its
+// own `threads`-sized pool after the fork, and RunCatapult swaps in a real
+// pool for selection once the sharded phase is over.
 RunContext MergeOptionsContext(const CatapultOptions& options,
                                const RunContext& ctx,
                                std::unique_ptr<ThreadPool>* owned_pool) {
@@ -207,12 +223,323 @@ RunContext MergeOptionsContext(const CatapultOptions& options,
     run_ctx = run_ctx.WithMemory(MemoryBudget::Limited(
         options.mem_soft_limit_bytes, options.mem_hard_limit_bytes));
   }
-  if (run_ctx.pool() == nullptr || options.threads != 0) {
+  if (options.processes > 1) {
+    *owned_pool = std::make_unique<ThreadPool>(1);
+    run_ctx = run_ctx.WithPool(owned_pool->get());
+  } else if (run_ctx.pool() == nullptr || options.threads != 0) {
     *owned_pool =
         std::make_unique<ThreadPool>(ResolveThreadCount(options.threads));
     run_ctx = run_ctx.WithPool(owned_pool->get());
   }
   return run_ctx;
+}
+
+// `options` with sharding and checkpointing switched off: the in-process,
+// checkpoint-free configuration of the serving path. Neither switch enters
+// ConfigFingerprint, so a corpus prepared under it keeps the fingerprint of
+// the caller's options.
+CatapultOptions InProcess(CatapultOptions options) {
+  options.processes = 0;
+  options.checkpoint_dir.clear();
+  options.resume = false;
+  return options;
+}
+
+// The durable side of one run (DESIGN.md §8): the checkpoint store (null
+// without a checkpoint_dir), the phase chain recovery restored from it, and
+// whether completed phases are checkpointed.
+struct Durability {
+  std::unique_ptr<CheckpointStore> store;
+  CheckpointStore::Recovery recovery;
+  bool write = false;
+};
+
+// A phase's parallel accounting: its wall time against the activity of the
+// context's pool since `before` was sampled.
+PhaseParallelStats PhaseStats(const RunContext& ctx,
+                              const ThreadPool::Stats& before, double wall) {
+  const ThreadPool::Stats after = ctx.pool()->stats();
+  PhaseParallelStats stats;
+  stats.wall_seconds = wall;
+  stats.busy_seconds = after.busy_seconds - before.busy_seconds;
+  stats.parallel_items = after.items - before.items;
+  return stats;
+}
+
+// The prepare half (PAPER.md steps 1-2): small graph clustering and CSG
+// folding into `corpus`, under the already-merged `run_ctx`, with the
+// "clustering" and "csg" spans parented to `parent_span`. Phases that
+// `durability` recovered are restored instead of recomputed, and completed
+// phases are checkpointed when durability.write. With processes > 1 fine
+// clustering and CSG folding run sharded across worker processes (DESIGN.md
+// §12). Checkpoint decisions, resumes and the sharded-execution report are
+// logged into `exec`; the phase diagnostics land in `corpus`.
+void PreparePhases(const GraphDatabase& db, const CatapultOptions& options,
+                   const RunContext& run_ctx, uint64_t fingerprint,
+                   uint64_t parent_span, Durability& durability,
+                   ExecutionReport& exec, PreparedCorpus& corpus) {
+  Rng rng(options.seed);
+  CheckpointStore::Recovery& recovery = durability.recovery;
+  // Only fully completed phases become durable: a deadline-degraded phase is
+  // re-run on resume rather than frozen below its potential. `crash_site` is
+  // a test-only simulated kill immediately after the checkpoint became
+  // durable.
+  auto CheckpointPhase = [&](const char* phase, bool complete,
+                             const std::function<std::string()>& save,
+                             const char* crash_site) {
+    if (!durability.write) return;
+    if (!complete) {
+      exec.checkpoint_events.push_back(
+          {CheckpointEvent::Kind::kCheckpointSkipped, phase,
+           "phase incomplete under deadline"});
+      return;
+    }
+    const std::string error = save();
+    if (error.empty()) {
+      ++exec.checkpoints_written;
+      exec.checkpoint_events.push_back(
+          {CheckpointEvent::Kind::kPhaseCheckpointed, phase, ""});
+    } else {
+      exec.checkpoint_events.push_back(
+          {CheckpointEvent::Kind::kCheckpointWriteFailed, phase, error});
+    }
+    if (CATAPULT_FAILPOINT(crash_site)) run_ctx.Cancel();
+  };
+
+  // Phase spans are closed just before each phase's stats are finalised so
+  // the trace duration matches the reported wall time. Span objects are
+  // inert (and free) when the context has no tracer.
+  std::optional<obs::Span> phase_span;
+  // Sharded mode folds the CSGs inside the sharded clustering phase (fine
+  // clustering + folding are one unit of per-cluster work); the CSG phase
+  // then adopts them instead of re-folding.
+  std::optional<dist::ShardedPhasesResult> sharded;
+
+  // --- Clustering ---
+  WallTimer clustering_timer;
+  const ThreadPool::Stats clustering_pool_stats = run_ctx.pool()->stats();
+  phase_span.emplace(run_ctx.tracer(), "clustering", parent_span);
+  if (recovery.clustering.has_value()) {
+    corpus.clusters = std::move(recovery.clustering->clusters);
+    corpus.features = std::move(recovery.clustering->features);
+    // Continue the pseudo-random stream exactly where the checkpointed
+    // clustering phase left it, so later phases draw the same values the
+    // uninterrupted run would have drawn.
+    rng.RestoreState(recovery.clustering->rng_after);
+    exec.resumed_from = "clustering";
+    exec.checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kResumedFromPhase, "clustering",
+         std::to_string(corpus.clusters.size()) + " clusters"});
+  } else {
+    // Per-phase time allocation: clustering gets its share of the total,
+    // CSG its share of the remainder, selection the rest. Each phase still
+    // honours the overall deadline (a slice can never exceed it).
+    RunContext clustering_ctx = run_ctx.Slice(options.clustering_time_share);
+    ClusteringResult clustering =
+        RunCoarseStages(db, options, rng, clustering_ctx);
+    bool fine_enabled =
+        options.use_sampling ||
+        options.clustering.mode != ClusteringMode::kCoarseOnly;
+    if (options.processes > 1) {
+      // Mirror FineClusteringStage's soft-pressure shed before any stream
+      // is split, so sharded and in-process runs degrade at the same point.
+      if (fine_enabled && run_ctx.memory().SoftExceeded()) {
+        fine_enabled = false;
+        clustering.fine_complete = false;
+      }
+      dist::DistOptions dopts;
+      dopts.processes = options.processes;
+      dopts.max_shard_retries = options.max_shard_retries;
+      dopts.heartbeat_timeout_ms = options.shard_heartbeat_timeout_ms;
+      dopts.backoff_base_ms = options.shard_backoff_base_ms;
+      dopts.backoff_cap_ms = options.shard_backoff_cap_ms;
+      dopts.worker_threads = ResolveThreadCount(options.threads);
+      dopts.fine_enabled = fine_enabled;
+      dopts.fine.max_cluster_size = options.clustering.max_cluster_size;
+      dopts.fine.mcs = options.clustering.fine_mcs;
+      dopts.checkpoint_dir = options.checkpoint_dir;
+      dopts.fingerprint = fingerprint;
+      dopts.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
+      dopts.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
+      dopts.listen_address = options.dist_listen;
+      dopts.listen_fd = options.dist_listen_fd;
+      dopts.join_timeout_ms = options.dist_join_timeout_ms;
+      dopts.write_stall_timeout_ms = options.dist_write_stall_timeout_ms;
+      dopts.admin_listen = options.dist_admin_listen;
+      // The sharded phase spans fine clustering and CSG folding, so its
+      // slice covers both phases' shares.
+      RunContext dist_ctx = run_ctx.Slice(std::min(
+          0.95, options.clustering_time_share + options.csg_time_share));
+      sharded = dist::RunShardedClusterPhases(db, clustering.clusters, dopts,
+                                              rng, dist_ctx, &exec.dist);
+      clustering.clusters = std::move(sharded->fine_clusters);
+      if (!sharded->fine_complete) clustering.fine_complete = false;
+    } else if (fine_enabled) {
+      FineClusteringStage(db, options.clustering, &clustering, rng,
+                          clustering_ctx);
+    }
+    corpus.clusters = std::move(clustering.clusters);
+    corpus.features = std::move(clustering.features);
+    corpus.clustering_complete = clustering.Complete();
+    corpus.clustering_coarse_only = !clustering.fine_complete;
+    CheckpointPhase(
+        "clustering", corpus.clustering_complete,
+        [&] {
+          ClusteringArtifact artifact;
+          artifact.clusters = corpus.clusters;
+          artifact.features = corpus.features;
+          artifact.rng_after = rng.SaveState();
+          return durability.store->SaveClustering(artifact);
+        },
+        "catapult.crash_after_clustering_checkpoint");
+  }
+  phase_span.reset();
+  corpus.clustering_seconds = clustering_timer.ElapsedSeconds();
+  corpus.clustering_parallel =
+      PhaseStats(run_ctx, clustering_pool_stats, corpus.clustering_seconds);
+
+  // --- CSG generation ---
+  WallTimer csg_timer;
+  const ThreadPool::Stats csg_pool_stats = run_ctx.pool()->stats();
+  phase_span.emplace(run_ctx.tracer(), "csg", parent_span);
+  if (recovery.csgs.has_value()) {
+    corpus.csgs = std::move(recovery.csgs->csgs);
+    rng.RestoreState(recovery.csgs->rng_after);
+    exec.resumed_from = "csgs";
+    exec.checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kResumedFromPhase, "csgs",
+         std::to_string(corpus.csgs.size()) + " summaries"});
+  } else {
+    if (sharded.has_value()) {
+      corpus.csgs = std::move(sharded->csgs);
+      corpus.degraded_csgs = sharded->degraded_csgs;
+    } else {
+      corpus.csgs = BuildCsgs(db, corpus.clusters,
+                              run_ctx.Slice(options.csg_time_share),
+                              &corpus.degraded_csgs);
+    }
+    corpus.csg_complete = corpus.degraded_csgs == 0;
+    CheckpointPhase(
+        "csgs", corpus.csg_complete,
+        [&] {
+          CsgArtifact artifact;
+          artifact.csgs = corpus.csgs;
+          artifact.rng_after = rng.SaveState();
+          return durability.store->SaveCsgs(artifact);
+        },
+        "catapult.crash_after_csg_checkpoint");
+  }
+  phase_span.reset();
+  corpus.csg_seconds = csg_timer.ElapsedSeconds();
+  corpus.csg_parallel =
+      PhaseStats(run_ctx, csg_pool_stats, corpus.csg_seconds);
+
+  corpus.summary_index = BuildFlatSummaryIndex(corpus.csgs);
+  corpus.rng_after_csg = rng.SaveState();
+  corpus.fingerprint = fingerprint;
+  corpus.complete = corpus.clustering_complete && corpus.csg_complete;
+}
+
+// The select half (PAPER.md step 3): canned-pattern selection on `corpus`
+// under the already-merged `run_ctx`, resuming the seed stream exactly where
+// the corpus's CSG phase left it — the invariant that makes a selection on a
+// prepared corpus bit-identical to the one-shot run. A selection state that
+// `durability` recovered seeds the greedy loop, and every accepted pattern
+// is checkpointed when durability.write. Fills `result`'s selection and
+// timings and its ExecutionReport: the corpus's phase diagnostics, then the
+// selection, memory and metrics fields. The "selection" span is a child of
+// `root`, or a root span itself when `root` is null; `root` is closed
+// before the metrics snapshot so its counter deltas cover the whole run.
+void SelectPhase(const GraphDatabase& db, const PreparedCorpus& corpus,
+                 const CatapultOptions& options, const RunContext& run_ctx,
+                 const Durability& durability, obs::Span* root,
+                 CatapultResult& result) {
+  ExecutionReport& exec = result.execution;
+  const MemoryBudget& memory = run_ctx.memory();
+  exec.deadline_set = !run_ctx.Unlimited();
+  exec.threads = run_ctx.pool()->num_threads();
+  exec.mem_budget_set = memory.limited();
+  exec.mem_soft_limit = memory.soft_limit();
+  exec.mem_hard_limit = memory.hard_limit();
+  exec.clustering_complete = corpus.clustering_complete;
+  exec.csg_complete = corpus.csg_complete;
+  exec.clustering_coarse_only = corpus.clustering_coarse_only;
+  exec.degraded_csgs = corpus.degraded_csgs;
+  exec.clustering_parallel = corpus.clustering_parallel;
+  exec.csg_parallel = corpus.csg_parallel;
+  result.clustering_seconds = corpus.clustering_seconds;
+  result.csg_seconds = corpus.csg_seconds;
+
+  WallTimer selection_timer;
+  const ThreadPool::Stats selection_pool_stats = run_ctx.pool()->stats();
+  obs::Span selection_span(run_ctx.tracer(), "selection",
+                           root != nullptr ? root->id() : 0);
+  Rng rng(options.seed);
+  rng.RestoreState(corpus.rng_after_csg);
+  SelectorCheckpointHooks hooks;
+  const CheckpointStore::Recovery& recovery = durability.recovery;
+  if (recovery.selection.has_value()) {
+    hooks.resume = &*recovery.selection;
+    exec.resumed_from = "selection";
+    exec.checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kResumedFromPhase, "selection",
+         std::to_string(recovery.selection->patterns.size()) +
+             " patterns already selected"});
+  }
+  size_t progress_saves = 0;
+  size_t progress_failures = 0;
+  std::string last_save_error;
+  if (durability.write) {
+    // Selection progress is checkpointed after every accepted pattern: each
+    // state is an exact loop invariant, so a kill mid-selection loses at
+    // most one greedy iteration.
+    hooks.on_pattern_selected = [&](const SelectorCheckpointState& state) {
+      std::string error = durability.store->SaveSelection(state);
+      if (error.empty()) {
+        ++progress_saves;
+        ++exec.checkpoints_written;
+      } else {
+        ++progress_failures;
+        last_save_error = error;
+      }
+      if (CATAPULT_FAILPOINT("catapult.crash_after_selection_checkpoint")) {
+        run_ctx.Cancel();
+      }
+    };
+  }
+  result.selection =
+      FindCannedPatternSet(db, corpus.clusters, corpus.csgs, options.selector,
+                           rng, run_ctx, hooks, &corpus.summary_index);
+  if (progress_saves > 0) {
+    exec.checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kPhaseCheckpointed, "selection",
+         std::to_string(progress_saves) + " incremental checkpoints"});
+  }
+  if (progress_failures > 0) {
+    exec.checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kCheckpointWriteFailed, "selection",
+         std::to_string(progress_failures) + " failed writes, last: " +
+             last_save_error});
+  }
+  selection_span.Close();
+  result.selection_seconds = selection_timer.ElapsedSeconds();
+  exec.selection_parallel =
+      PhaseStats(run_ctx, selection_pool_stats, result.selection_seconds);
+  exec.selection_complete = result.selection.complete;
+  exec.fallback_patterns = result.selection.fallback_patterns;
+  exec.iso_budget_exhausted = result.selection.iso_budget_exhausted;
+
+  exec.mem_peak_bytes = memory.peak();
+  exec.mem_soft_exceeded =
+      memory.soft_limit() != 0 && memory.peak() >= memory.soft_limit();
+  exec.mem_hard_breached = memory.HardBreached();
+  if (exec.mem_hard_breached) exec.resource_error = memory.error();
+  // Merge the per-thread metric shards into the report. Safe here: every
+  // parallel region has joined, so worker writes happen-before this read.
+  if (root != nullptr) root->Close();
+  if (run_ctx.metrics() != nullptr) {
+    exec.metrics = run_ctx.metrics()->Snapshot();
+  }
 }
 
 }  // namespace
@@ -374,7 +701,9 @@ uint64_t ConfigFingerprint(const CatapultOptions& options,
   fp.Mix(sel.iso_node_budget);
   fp.Mix(sel.ged.node_budget);
   fp.Mix(sel.approximate_diversity ? 1 : 0);
-  fp.Mix(sel.skip_duplicates ? 1 : 0);
+  // Where the retired skip_duplicates switch was mixed: duplicates are now
+  // always skipped, and the constant keeps earlier checkpoints resumable.
+  fp.Mix(1);
 
   const SmallGraphClusteringOptions& cl = options.clustering;
   fp.Mix(static_cast<uint64_t>(cl.mode));
@@ -435,11 +764,6 @@ uint64_t ConfigFingerprint(const CatapultOptions& options,
 }
 
 CatapultResult RunCatapult(const GraphDatabase& db,
-                           const CatapultOptions& options) {
-  return RunCatapult(db, options, RunContext::NoLimit());
-}
-
-CatapultResult RunCatapult(const GraphDatabase& db,
                            const CatapultOptions& options,
                            const RunContext& ctx) {
   CatapultResult result;
@@ -447,45 +771,8 @@ CatapultResult RunCatapult(const GraphDatabase& db,
   if (!result.ok()) return result;
   if (db.empty()) return result;
 
-  // The effective deadline is the earlier of the caller's context and
-  // options.deadline_ms; the cancellation token is shared either way.
-  RunContext run_ctx = ctx;
-  if (options.deadline_ms > 0.0) {
-    run_ctx = RunContext(
-                  Deadline::Earliest(ctx.deadline(),
-                                     Deadline::AfterMillis(options.deadline_ms)),
-                  ctx.cancel_token(), ctx.memory())
-                  .WithPool(ctx.pool())
-                  .WithObservability(ctx.metrics(), ctx.tracer());
-  }
-  // Memory governance: a budget configured in the options supersedes the
-  // (by default unlimited) ledger of the caller's context.
-  if (options.mem_hard_limit_bytes != 0 || options.mem_soft_limit_bytes != 0) {
-    run_ctx = run_ctx.WithMemory(MemoryBudget::Limited(
-        options.mem_soft_limit_bytes, options.mem_hard_limit_bytes));
-  }
-  // Parallelism: a pool carried by the caller's context is reused when the
-  // options don't ask for a specific count; otherwise the run owns a pool
-  // sized by options.threads (a 1-thread pool spawns no threads and executes
-  // inline, so the default path stays exactly sequential).
-  //
-  // Sharded mode (processes > 1) forces a 1-thread supervisor pool instead:
-  // forking a multithreaded process is undefined behaviour territory (only
-  // the forking thread survives in the child), so the supervisor stays
-  // single-threaded until every fork is behind it; each worker builds its
-  // own `threads`-sized pool after the fork, and selection swaps in a real
-  // pool once the sharded phase is over.
-  const bool dist_mode = options.processes > 1;
   std::unique_ptr<ThreadPool> owned_pool;
-  if (dist_mode) {
-    owned_pool = std::make_unique<ThreadPool>(1);
-    run_ctx = run_ctx.WithPool(owned_pool.get());
-  } else if (run_ctx.pool() == nullptr || options.threads != 0) {
-    owned_pool =
-        std::make_unique<ThreadPool>(ResolveThreadCount(options.threads));
-    run_ctx = run_ctx.WithPool(owned_pool.get());
-  }
-  const MemoryBudget& memory = run_ctx.memory();
+  RunContext run_ctx = MergeOptionsContext(options, ctx, &owned_pool);
   // Observability: install the calling thread's metrics shard for the whole
   // run (worker threads install theirs per parallel region inside the
   // pool), and open the root span. Both are no-ops when the context carries
@@ -494,30 +781,11 @@ CatapultResult RunCatapult(const GraphDatabase& db,
   obs::ScopedMetricsScope metrics_scope(run_ctx.metrics());
   obs::Span run_span(run_ctx.tracer(), "catapult.run");
   obs::SetGaugeMax(obs::Gauge::kPoolThreads, run_ctx.pool()->num_threads());
-  ExecutionReport& exec = result.execution;
-  exec.deadline_set = !run_ctx.Unlimited();
-  // In sharded mode the supervisor pool is deliberately 1-thread; report
-  // the worker-side thread count, which is what sizes the actual compute.
-  exec.threads = dist_mode ? ResolveThreadCount(options.threads)
-                           : run_ctx.pool()->num_threads();
-  exec.mem_budget_set = memory.limited();
-  exec.mem_soft_limit = memory.soft_limit();
-  exec.mem_hard_limit = memory.hard_limit();
-  // Aggregates each phase's pool activity into its PhaseParallelStats.
-  // Reads the pool through run_ctx: sharded runs swap in a fresh pool for
-  // selection, and stats baselines always come from the then-active pool.
-  auto FinishPhase = [&run_ctx](const ThreadPool::Stats& before, double wall,
-                                PhaseParallelStats& out) {
-    ThreadPool::Stats after = run_ctx.pool()->stats();
-    out.wall_seconds = wall;
-    out.busy_seconds = after.busy_seconds - before.busy_seconds;
-    out.parallel_items = after.items - before.items;
-  };
-  Rng rng(options.seed);
+  const bool sharded = options.processes > 1;
 
   // Computed once for the checkpoint store, the shard artifacts, and the
   // distributed-trace correlation id.
-  const bool need_fingerprint = !options.checkpoint_dir.empty() || dist_mode ||
+  const bool need_fingerprint = !options.checkpoint_dir.empty() || sharded ||
                                 run_ctx.tracer() != nullptr;
   const uint64_t fingerprint =
       need_fingerprint ? ConfigFingerprint(options, db) : 0;
@@ -530,278 +798,38 @@ CatapultResult RunCatapult(const GraphDatabase& db,
 
   // Durability: open the checkpoint store and, when resuming, restore the
   // longest valid phase chain (recovery ladder; DESIGN.md Section 8). Every
-  // decision lands in exec.checkpoint_events.
-  std::unique_ptr<CheckpointStore> store;
-  CheckpointStore::Recovery recovery;
+  // decision lands in the report's checkpoint_events.
+  Durability durability;
   if (!options.checkpoint_dir.empty()) {
-    store = std::make_unique<CheckpointStore>(options.checkpoint_dir,
-                                              fingerprint);
+    durability.store =
+        std::make_unique<CheckpointStore>(options.checkpoint_dir, fingerprint);
+    durability.write = options.checkpoint_every_phase;
     if (options.resume) {
-      recovery = store->Recover(db, options.selector.budget);
-      for (CheckpointEvent& event : recovery.events) {
-        exec.checkpoint_events.push_back(std::move(event));
+      durability.recovery =
+          durability.store->Recover(db, options.selector.budget);
+      for (CheckpointEvent& event : durability.recovery.events) {
+        result.execution.checkpoint_events.push_back(std::move(event));
       }
     }
   }
-  const bool write_checkpoints =
-      store != nullptr && options.checkpoint_every_phase;
-  auto RecordPhaseSave = [&exec](const char* phase,
-                                 const std::string& error) {
-    if (error.empty()) {
-      ++exec.checkpoints_written;
-      exec.checkpoint_events.push_back(
-          {CheckpointEvent::Kind::kPhaseCheckpointed, phase, ""});
-    } else {
-      exec.checkpoint_events.push_back(
-          {CheckpointEvent::Kind::kCheckpointWriteFailed, phase, error});
-    }
-  };
 
-  // Phase spans: children of the run span, closed just before each phase's
-  // stats are finalised so the trace duration matches the reported wall
-  // time. Span objects are inert (and free) when the context has no tracer.
-  std::optional<obs::Span> phase_span;
-
-  // Sharded mode computes CSGs inside the clustering phase's sharded
-  // executor (fine clustering + folding are one unit of per-cluster work);
-  // the CSG phase then adopts them instead of re-folding.
-  std::vector<ClusterSummaryGraph> dist_csgs;
-  size_t dist_degraded_csgs = 0;
-  bool have_dist_csgs = false;
-
-  // --- Clustering ---
-  WallTimer clustering_timer;
-  ThreadPool::Stats clustering_pool_stats = run_ctx.pool()->stats();
-  phase_span.emplace(run_ctx.tracer(), "clustering", run_span.id());
-  if (recovery.clustering.has_value()) {
-    result.clusters = std::move(recovery.clustering->clusters);
-    result.features = std::move(recovery.clustering->features);
-    // Continue the pseudo-random stream exactly where the checkpointed
-    // clustering phase left it, so later phases draw the same values the
-    // uninterrupted run would have drawn.
-    rng.RestoreState(recovery.clustering->rng_after);
-    exec.resumed_from = "clustering";
-    exec.checkpoint_events.push_back(
-        {CheckpointEvent::Kind::kResumedFromPhase, "clustering",
-         std::to_string(result.clusters.size()) + " clusters"});
-  } else {
-    // Per-phase time allocation: clustering gets its share of the total,
-    // CSG its share of the remainder, selection the rest. Each phase still
-    // honours the overall deadline (a slice can never exceed it).
-    RunContext clustering_ctx = run_ctx.Slice(options.clustering_time_share);
-    ClusteringResult clustering =
-        RunCoarseStages(db, options, rng, clustering_ctx);
-    bool fine_enabled =
-        options.use_sampling ||
-        options.clustering.mode != ClusteringMode::kCoarseOnly;
-    if (dist_mode) {
-      // Mirror FineClusteringStage's soft-pressure shed before any stream
-      // is split, so sharded and in-process runs degrade at the same point.
-      if (fine_enabled && run_ctx.memory().SoftExceeded()) {
-        fine_enabled = false;
-        clustering.fine_complete = false;
-      }
-      dist::DistOptions dopts;
-      dopts.processes = options.processes;
-      dopts.max_shard_retries = options.max_shard_retries;
-      dopts.heartbeat_timeout_ms = options.shard_heartbeat_timeout_ms;
-      dopts.backoff_base_ms = options.shard_backoff_base_ms;
-      dopts.backoff_cap_ms = options.shard_backoff_cap_ms;
-      dopts.worker_threads = ResolveThreadCount(options.threads);
-      dopts.fine_enabled = fine_enabled;
-      dopts.fine.max_cluster_size = options.clustering.max_cluster_size;
-      dopts.fine.mcs = options.clustering.fine_mcs;
-      dopts.checkpoint_dir = options.checkpoint_dir;
-      dopts.fingerprint = fingerprint;
-      dopts.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
-      dopts.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
-      dopts.listen_address = options.dist_listen;
-      dopts.listen_fd = options.dist_listen_fd;
-      dopts.join_timeout_ms = options.dist_join_timeout_ms;
-      dopts.write_stall_timeout_ms = options.dist_write_stall_timeout_ms;
-      dopts.admin_listen = options.dist_admin_listen;
-      // The sharded phase spans fine clustering and CSG folding, so its
-      // slice covers both phases' shares.
-      RunContext dist_ctx = run_ctx.Slice(std::min(
-          0.95, options.clustering_time_share + options.csg_time_share));
-      dist::ShardedPhasesResult sharded = dist::RunShardedClusterPhases(
-          db, clustering.clusters, dopts, rng, dist_ctx, &exec.dist);
-      clustering.clusters = std::move(sharded.fine_clusters);
-      if (!sharded.fine_complete) clustering.fine_complete = false;
-      dist_csgs = std::move(sharded.csgs);
-      dist_degraded_csgs = sharded.degraded_csgs;
-      have_dist_csgs = true;
-    } else if (fine_enabled) {
-      FineClusteringStage(db, options.clustering, &clustering, rng,
-                          clustering_ctx);
-    }
-    result.clusters = std::move(clustering.clusters);
-    result.features = std::move(clustering.features);
-    exec.clustering_complete = clustering.Complete();
-    exec.clustering_coarse_only = !clustering.fine_complete;
-    if (write_checkpoints) {
-      // Only fully completed phases become durable: a deadline-degraded
-      // phase is re-run on resume rather than frozen below its potential.
-      if (clustering.Complete()) {
-        ClusteringArtifact artifact;
-        artifact.clusters = result.clusters;
-        artifact.features = result.features;
-        artifact.rng_after = rng.SaveState();
-        RecordPhaseSave("clustering", store->SaveClustering(artifact));
-        // Test-only simulated kill: the site models a crash immediately
-        // after the checkpoint became durable.
-        if (CATAPULT_FAILPOINT("catapult.crash_after_clustering_checkpoint")) {
-          run_ctx.Cancel();
-        }
-      } else {
-        exec.checkpoint_events.push_back(
-            {CheckpointEvent::Kind::kCheckpointSkipped, "clustering",
-             "phase incomplete under deadline"});
-      }
-    }
-  }
-  phase_span.reset();
-  result.clustering_seconds = clustering_timer.ElapsedSeconds();
-  FinishPhase(clustering_pool_stats, result.clustering_seconds,
-              exec.clustering_parallel);
-
-  // --- CSG generation ---
-  WallTimer csg_timer;
-  ThreadPool::Stats csg_pool_stats = run_ctx.pool()->stats();
-  phase_span.emplace(run_ctx.tracer(), "csg", run_span.id());
-  if (recovery.csgs.has_value()) {
-    result.csgs = std::move(recovery.csgs->csgs);
-    rng.RestoreState(recovery.csgs->rng_after);
-    exec.resumed_from = "csgs";
-    exec.checkpoint_events.push_back(
-        {CheckpointEvent::Kind::kResumedFromPhase, "csgs",
-         std::to_string(result.csgs.size()) + " summaries"});
-  } else if (have_dist_csgs) {
-    // Sharded mode already folded the CSGs alongside fine clustering; adopt
-    // them here so the checkpoint ladder (and its rng position) matches the
-    // in-process path byte for byte.
-    result.csgs = std::move(dist_csgs);
-    exec.degraded_csgs = dist_degraded_csgs;
-    exec.csg_complete = exec.degraded_csgs == 0;
-    if (write_checkpoints) {
-      if (exec.csg_complete) {
-        CsgArtifact artifact;
-        artifact.csgs = result.csgs;
-        artifact.rng_after = rng.SaveState();
-        RecordPhaseSave("csgs", store->SaveCsgs(artifact));
-        if (CATAPULT_FAILPOINT("catapult.crash_after_csg_checkpoint")) {
-          run_ctx.Cancel();
-        }
-      } else {
-        exec.checkpoint_events.push_back(
-            {CheckpointEvent::Kind::kCheckpointSkipped, "csgs",
-             "phase incomplete under deadline"});
-      }
-    }
-  } else {
-    RunContext csg_ctx = run_ctx.Slice(options.csg_time_share);
-    result.csgs =
-        BuildCsgs(db, result.clusters, csg_ctx, &exec.degraded_csgs);
-    exec.csg_complete = exec.degraded_csgs == 0;
-    if (write_checkpoints) {
-      if (exec.csg_complete) {
-        CsgArtifact artifact;
-        artifact.csgs = result.csgs;
-        artifact.rng_after = rng.SaveState();
-        RecordPhaseSave("csgs", store->SaveCsgs(artifact));
-        if (CATAPULT_FAILPOINT("catapult.crash_after_csg_checkpoint")) {
-          run_ctx.Cancel();
-        }
-      } else {
-        exec.checkpoint_events.push_back(
-            {CheckpointEvent::Kind::kCheckpointSkipped, "csgs",
-             "phase incomplete under deadline"});
-      }
-    }
-  }
-  phase_span.reset();
-  result.csg_seconds = csg_timer.ElapsedSeconds();
-  FinishPhase(csg_pool_stats, result.csg_seconds, exec.csg_parallel);
-
-  // --- Selection ---
+  PreparedCorpus corpus;
+  PreparePhases(db, options, run_ctx, fingerprint, run_span.id(), durability,
+                result.execution, corpus);
   // Sharded mode ran the supervisor on a 1-thread pool so no pool threads
   // existed across fork(); all forks are behind us now, so selection gets a
   // real multi-thread pool (same size the in-process run would have used).
   std::unique_ptr<ThreadPool> selection_pool;
-  if (dist_mode) {
+  if (sharded) {
     selection_pool =
         std::make_unique<ThreadPool>(ResolveThreadCount(options.threads));
     run_ctx = run_ctx.WithPool(selection_pool.get());
     obs::SetGaugeMax(obs::Gauge::kPoolThreads, selection_pool->num_threads());
   }
-  WallTimer selection_timer;
-  ThreadPool::Stats selection_pool_stats = run_ctx.pool()->stats();
-  phase_span.emplace(run_ctx.tracer(), "selection", run_span.id());
-  SelectorCheckpointHooks hooks;
-  if (recovery.selection.has_value()) {
-    hooks.resume = &*recovery.selection;
-    exec.resumed_from = "selection";
-    exec.checkpoint_events.push_back(
-        {CheckpointEvent::Kind::kResumedFromPhase, "selection",
-         std::to_string(recovery.selection->patterns.size()) +
-             " patterns already selected"});
-  }
-  size_t progress_saves = 0;
-  size_t progress_failures = 0;
-  std::string last_save_error;
-  if (write_checkpoints) {
-    // Selection progress is checkpointed after every accepted pattern: each
-    // state is an exact loop invariant, so a kill mid-selection loses at
-    // most one greedy iteration.
-    hooks.on_pattern_selected = [&](const SelectorCheckpointState& state) {
-      std::string error = store->SaveSelection(state);
-      if (error.empty()) {
-        ++progress_saves;
-        ++exec.checkpoints_written;
-      } else {
-        ++progress_failures;
-        last_save_error = error;
-      }
-      if (CATAPULT_FAILPOINT("catapult.crash_after_selection_checkpoint")) {
-        run_ctx.Cancel();
-      }
-    };
-  }
-  result.selection = FindCannedPatternSet(db, result.clusters, result.csgs,
-                                          options.selector, rng, run_ctx,
-                                          hooks);
-  if (progress_saves > 0) {
-    exec.checkpoint_events.push_back(
-        {CheckpointEvent::Kind::kPhaseCheckpointed, "selection",
-         std::to_string(progress_saves) + " incremental checkpoints"});
-  }
-  if (progress_failures > 0) {
-    exec.checkpoint_events.push_back(
-        {CheckpointEvent::Kind::kCheckpointWriteFailed, "selection",
-         std::to_string(progress_failures) + " failed writes, last: " +
-             last_save_error});
-  }
-  phase_span.reset();
-  result.selection_seconds = selection_timer.ElapsedSeconds();
-  FinishPhase(selection_pool_stats, result.selection_seconds,
-              exec.selection_parallel);
-  exec.selection_complete = result.selection.complete;
-  exec.fallback_patterns = result.selection.fallback_patterns;
-  exec.iso_budget_exhausted = result.selection.iso_budget_exhausted;
-
-  exec.mem_peak_bytes = memory.peak();
-  exec.mem_soft_exceeded =
-      memory.soft_limit() != 0 && memory.peak() >= memory.soft_limit();
-  exec.mem_hard_breached = memory.HardBreached();
-  if (exec.mem_hard_breached) exec.resource_error = memory.error();
-  // Close the root span before snapshotting so its counter deltas cover the
-  // whole run, then merge the per-thread metric shards into the report.
-  // Safe here: every parallel region has joined, so worker writes
-  // happen-before this read.
-  run_span.Close();
-  if (run_ctx.metrics() != nullptr) {
-    exec.metrics = run_ctx.metrics()->Snapshot();
-  }
+  SelectPhase(db, corpus, options, run_ctx, durability, &run_span, result);
+  result.clusters = std::move(corpus.clusters);
+  result.csgs = std::move(corpus.csgs);
+  result.features = std::move(corpus.features);
   return result;
 }
 
@@ -816,44 +844,16 @@ PreparedCorpus PrepareCorpus(const GraphDatabase& db,
     corpus.rng_after_csg = Rng(options.seed).SaveState();
     return corpus;
   }
+  const CatapultOptions in_process = InProcess(options);
   std::unique_ptr<ThreadPool> owned_pool;
-  RunContext run_ctx = MergeOptionsContext(options, ctx, &owned_pool);
+  const RunContext run_ctx = MergeOptionsContext(in_process, ctx, &owned_pool);
   obs::ScopedMetricsScope metrics_scope(run_ctx.metrics());
   obs::Span prepare_span(run_ctx.tracer(), "catapult.prepare");
-  Rng rng(options.seed);
-
-  // Exactly RunCatapult's in-process clustering phase: one deadline slice
-  // covers the coarse stages and the fine splits, so a later selection on
-  // this corpus matches the one-shot run draw for draw.
-  WallTimer clustering_timer;
-  std::optional<obs::Span> phase_span;
-  phase_span.emplace(run_ctx.tracer(), "clustering", prepare_span.id());
-  RunContext clustering_ctx = run_ctx.Slice(options.clustering_time_share);
-  ClusteringResult clustering =
-      RunCoarseStages(db, options, rng, clustering_ctx);
-  if (options.use_sampling ||
-      options.clustering.mode != ClusteringMode::kCoarseOnly) {
-    FineClusteringStage(db, options.clustering, &clustering, rng,
-                        clustering_ctx);
-  }
-  corpus.clusters = std::move(clustering.clusters);
-  corpus.features = std::move(clustering.features);
-  phase_span.reset();
-  corpus.clustering_seconds = clustering_timer.ElapsedSeconds();
-
-  WallTimer csg_timer;
-  phase_span.emplace(run_ctx.tracer(), "csg", prepare_span.id());
-  size_t degraded_csgs = 0;
-  corpus.csgs = BuildCsgs(db, corpus.clusters,
-                          run_ctx.Slice(options.csg_time_share),
-                          &degraded_csgs);
-  phase_span.reset();
-  corpus.csg_seconds = csg_timer.ElapsedSeconds();
-
-  corpus.summary_index = BuildFlatSummaryIndex(corpus.csgs);
-  corpus.rng_after_csg = rng.SaveState();
-  corpus.fingerprint = ConfigFingerprint(options, db);
-  corpus.complete = clustering.Complete() && degraded_csgs == 0;
+  // In-process and checkpoint-free, so nothing is ever logged here.
+  Durability none;
+  ExecutionReport log;
+  PreparePhases(db, in_process, run_ctx, ConfigFingerprint(options, db),
+                prepare_span.id(), none, log, corpus);
   return corpus;
 }
 
@@ -865,49 +865,11 @@ CatapultResult RunCatapultSelection(const GraphDatabase& db,
   result.option_errors = ValidateCatapultOptions(options);
   if (!result.ok()) return result;
   if (db.empty()) return result;
+  const CatapultOptions in_process = InProcess(options);
   std::unique_ptr<ThreadPool> owned_pool;
-  RunContext run_ctx = MergeOptionsContext(options, ctx, &owned_pool);
+  const RunContext run_ctx = MergeOptionsContext(in_process, ctx, &owned_pool);
   obs::ScopedMetricsScope metrics_scope(run_ctx.metrics());
-  obs::Span selection_span(run_ctx.tracer(), "selection");
-  ExecutionReport& exec = result.execution;
-  exec.deadline_set = !run_ctx.Unlimited();
-  exec.threads = run_ctx.pool()->num_threads();
-  const MemoryBudget& memory = run_ctx.memory();
-  exec.mem_budget_set = memory.limited();
-  exec.mem_soft_limit = memory.soft_limit();
-  exec.mem_hard_limit = memory.hard_limit();
-  exec.clustering_complete = corpus.complete;
-  exec.csg_complete = corpus.complete;
-
-  WallTimer selection_timer;
-  ThreadPool::Stats pool_stats = run_ctx.pool()->stats();
-  // Resume the seed stream exactly where the prepared corpus's CSG phase
-  // left it — the invariant that makes this path bit-identical to the
-  // uninterrupted RunCatapult.
-  Rng rng(options.seed);
-  rng.RestoreState(corpus.rng_after_csg);
-  result.selection =
-      FindCannedPatternSet(db, corpus.clusters, corpus.csgs, options.selector,
-                           rng, run_ctx, SelectorCheckpointHooks{},
-                           &corpus.summary_index);
-  result.selection_seconds = selection_timer.ElapsedSeconds();
-  ThreadPool::Stats after = run_ctx.pool()->stats();
-  exec.selection_parallel.wall_seconds = result.selection_seconds;
-  exec.selection_parallel.busy_seconds =
-      after.busy_seconds - pool_stats.busy_seconds;
-  exec.selection_parallel.parallel_items = after.items - pool_stats.items;
-  exec.selection_complete = result.selection.complete;
-  exec.fallback_patterns = result.selection.fallback_patterns;
-  exec.iso_budget_exhausted = result.selection.iso_budget_exhausted;
-  exec.mem_peak_bytes = memory.peak();
-  exec.mem_soft_exceeded =
-      memory.soft_limit() != 0 && memory.peak() >= memory.soft_limit();
-  exec.mem_hard_breached = memory.HardBreached();
-  if (exec.mem_hard_breached) exec.resource_error = memory.error();
-  selection_span.Close();
-  if (run_ctx.metrics() != nullptr) {
-    exec.metrics = run_ctx.metrics()->Snapshot();
-  }
+  SelectPhase(db, corpus, in_process, run_ctx, Durability{}, nullptr, result);
   return result;
 }
 

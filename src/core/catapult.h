@@ -264,26 +264,27 @@ struct CatapultResult {
 
 // Runs the full Catapult pipeline on `db` (Algorithm 1): (optionally eager-
 // sampled) small graph clustering, (optionally lazy-sampled) CSG
-// generation, and canned-pattern selection. A deadline is taken from
-// `options.deadline_ms`.
-CatapultResult RunCatapult(const GraphDatabase& db,
-                           const CatapultOptions& options);
-
-// As above, but runs under a caller-provided context (e.g. a serving thread
-// that wants to share a cancellation token across requests). When
+// generation, and canned-pattern selection. It is the composition of the
+// two halves the serving path uses (DESIGN.md §13): the context is merged
+// once, the checkpoint store is opened and recovered (DESIGN.md §8), the
+// prepare half runs clustering + CSG folding — sharded across worker
+// processes when options.processes > 1 (DESIGN.md §12) — and the select
+// half runs selection on what it prepared. `ctx` lets a caller share a
+// cancellation token, pool or observability handles; when
 // `options.deadline_ms` is also set, the effective deadline is the earlier
 // of the two.
 CatapultResult RunCatapult(const GraphDatabase& db,
                            const CatapultOptions& options,
-                           const RunContext& ctx);
+                           const RunContext& ctx = RunContext::NoLimit());
 
 // Clustering + CSG artifacts of a database, computed once and reused across
 // many selection calls — the serving path (DESIGN.md §13). The artifacts
 // depend only on the clustering/sampling options and the seed, never on the
 // selection budget, so one prepared corpus answers any (eta_min, eta_max,
-// gamma) request; the rng stream position captured after CSG folding makes
-// RunCatapultSelection bit-identical to a full one-shot RunCatapult with
-// the same options (asserted by tests/serve_test.cc).
+// gamma) request. RunCatapult runs the same prepare half into a corpus of
+// its own and the same select half on it, so RunCatapultSelection is
+// bit-identical to a one-shot RunCatapult with the same options by
+// construction (still asserted by tests/serve_test.cc).
 struct PreparedCorpus {
   std::vector<std::vector<GraphId>> clusters;
   std::vector<ClusterSummaryGraph> csgs;
@@ -302,6 +303,14 @@ struct PreparedCorpus {
   // CSG folding; selections on a degraded corpus are flagged degraded.
   bool complete = false;
 
+  // Phase diagnostics, reported as-is by every selection on this corpus
+  // (see the ExecutionReport fields of the same names).
+  bool clustering_complete = true;
+  bool csg_complete = true;
+  bool clustering_coarse_only = false;
+  size_t degraded_csgs = 0;
+  PhaseParallelStats clustering_parallel;
+  PhaseParallelStats csg_parallel;
   double clustering_seconds = 0.0;
   double csg_seconds = 0.0;
 
@@ -311,19 +320,22 @@ struct PreparedCorpus {
   bool ok() const { return option_errors.empty(); }
 };
 
-// Runs the clustering and CSG phases of RunCatapult (in-process, no
-// checkpointing or sharding) and captures their artifacts for reuse.
+// The prepare half of RunCatapult, run in-process and checkpoint-free (the
+// options' sharding and checkpoint settings are ignored), with its
+// artifacts captured for reuse.
 PreparedCorpus PrepareCorpus(const GraphDatabase& db,
                              const CatapultOptions& options,
                              const RunContext& ctx);
 
-// Selection-only run against a prepared corpus: restores the corpus's rng
-// position and executes FindCannedPatternSet under `ctx` merged with
-// `options` (deadline, memory budget, threads — exactly like RunCatapult).
-// `options` must share the clustering/sampling options and seed the corpus
-// was prepared with; only the selector options (budget, walks, decay) may
-// differ. The result's clusters/csgs/features are left empty — the corpus
-// already holds them, and serving must not copy them per request.
+// The select half of RunCatapult against a prepared corpus, in-process and
+// checkpoint-free: restores the corpus's rng position and executes
+// FindCannedPatternSet under `ctx` merged with `options` (deadline, memory
+// budget, threads — exactly like RunCatapult). `options` must share the
+// clustering/sampling options and seed the corpus was prepared with; only
+// the selector options (budget, walks, decay) may differ. The report
+// carries the corpus's clustering/CSG diagnostics and timings. The result's
+// clusters/csgs/features are left empty — the corpus already holds them,
+// and serving must not copy them per request.
 CatapultResult RunCatapultSelection(const GraphDatabase& db,
                                     const PreparedCorpus& corpus,
                                     const CatapultOptions& options,

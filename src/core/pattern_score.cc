@@ -131,20 +131,4 @@ double ClusterCoverage(const Graph& pattern,
   return total;
 }
 
-double PatternScore(const Graph& pattern,
-                    const std::vector<Graph>& csg_summaries,
-                    const ClusterWeights& cluster_weights,
-                    const LabelCoverageIndex& label_index,
-                    const std::vector<Graph>& selected,
-                    const GedOptions& ged_options,
-                    uint64_t iso_node_budget) {
-  double cog = CognitiveLoad(pattern);
-  if (cog <= 0.0) return 0.0;
-  double ccov = ClusterCoverage(pattern, csg_summaries, cluster_weights,
-                                iso_node_budget);
-  double lcov = label_index.PatternLabelCoverage(pattern);
-  double div = PatternSetDiversity(pattern, selected, ged_options);
-  return ccov * lcov * div / cog;
-}
-
 }  // namespace catapult

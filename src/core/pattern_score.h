@@ -76,16 +76,6 @@ std::vector<bool> CoveredCsgs(const Graph& pattern,
                               uint64_t iso_node_budget = kDefaultCoverageIsoBudget,
                               uint64_t* budget_exhausted = nullptr);
 
-// The full pattern score of Equation 2:
-//   s_p = ccov(p, cw, C) * lcov(p, D) * div(p, P \ p) / cog(p).
-double PatternScore(const Graph& pattern,
-                    const std::vector<Graph>& csg_summaries,
-                    const ClusterWeights& cluster_weights,
-                    const LabelCoverageIndex& label_index,
-                    const std::vector<Graph>& selected,
-                    const GedOptions& ged_options = {},
-                    uint64_t iso_node_budget = 2000000);
-
 }  // namespace catapult
 
 #endif  // CATAPULT_CORE_PATTERN_SCORE_H_

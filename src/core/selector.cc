@@ -78,24 +78,6 @@ SelectionResult FindCannedPatternSet(
     const GraphDatabase& db,
     const std::vector<std::vector<GraphId>>& clusters,
     const std::vector<ClusterSummaryGraph>& csgs,
-    const SelectorOptions& options, Rng& rng) {
-  return FindCannedPatternSet(db, clusters, csgs, options, rng,
-                              RunContext::NoLimit());
-}
-
-SelectionResult FindCannedPatternSet(
-    const GraphDatabase& db,
-    const std::vector<std::vector<GraphId>>& clusters,
-    const std::vector<ClusterSummaryGraph>& csgs,
-    const SelectorOptions& options, Rng& rng, const RunContext& ctx) {
-  return FindCannedPatternSet(db, clusters, csgs, options, rng, ctx,
-                              SelectorCheckpointHooks());
-}
-
-SelectionResult FindCannedPatternSet(
-    const GraphDatabase& db,
-    const std::vector<std::vector<GraphId>>& clusters,
-    const std::vector<ClusterSummaryGraph>& csgs,
     const SelectorOptions& options, Rng& rng, const RunContext& ctx,
     const SelectorCheckpointHooks& hooks,
     const FlatSummaryIndex* prebuilt_index) {
@@ -328,12 +310,10 @@ SelectionResult FindCannedPatternSet(
           open_sizes.end()) {
         return;
       }
-      if (options.skip_duplicates) {
-        for (size_t s = 0; s < selected_graphs.size(); ++s) {
-          if (AreIsomorphicWithFingerprints(g, selected_graphs[s], fp,
-                                            selected_fps[s])) {
-            return;
-          }
+      for (size_t s = 0; s < selected_graphs.size(); ++s) {
+        if (AreIsomorphicWithFingerprints(g, selected_graphs[s], fp,
+                                          selected_fps[s])) {
+          return;
         }
       }
       uint64_t* row = table.CoverageRow(i);

@@ -502,5 +502,32 @@ TEST_F(IngestTest, SoftPressureShedsFineClustering) {
   EXPECT_FALSE(result.selection.patterns.empty());
 }
 
+// A selection on a prepared corpus reports the corpus's real phase flags:
+// under the same pressured ledger, the served path and the one-shot run
+// agree on which clustering/CSG rungs were shed.
+TEST_F(IngestTest, SoftPressureServedSelectionReportsCorpusPhaseFlags) {
+  GraphDatabase db = SmallDb(37, 40);
+  MemoryBudget budget = MemoryBudget::Limited(1, size_t{1} << 40);
+  ASSERT_TRUE(budget.TryCharge(4096, "test.pin"));
+  RunContext ctx = RunContext::NoLimit().WithMemory(budget);
+  const CatapultResult one_shot = RunCatapult(db, FastOptions(), ctx);
+  const PreparedCorpus corpus = PrepareCorpus(db, FastOptions(), ctx);
+  const CatapultResult served =
+      RunCatapultSelection(db, corpus, FastOptions(), ctx);
+  ASSERT_TRUE(one_shot.ok());
+  ASSERT_TRUE(corpus.ok());
+  ASSERT_TRUE(served.ok());
+  const ExecutionReport& want = one_shot.execution;
+  const ExecutionReport& got = served.execution;
+  EXPECT_TRUE(want.clustering_coarse_only);
+  EXPECT_EQ(got.clustering_complete, want.clustering_complete);
+  EXPECT_EQ(got.csg_complete, want.csg_complete);
+  EXPECT_EQ(got.clustering_coarse_only, want.clustering_coarse_only);
+  EXPECT_EQ(got.degraded_csgs, want.degraded_csgs);
+  EXPECT_FALSE(corpus.complete);
+  EXPECT_EQ(served.selection.patterns.size(),
+            one_shot.selection.patterns.size());
+}
+
 }  // namespace
 }  // namespace catapult
