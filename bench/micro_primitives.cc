@@ -40,6 +40,9 @@ std::vector<Graph>& SharedPatterns() {
   return *patterns;
 }
 
+// The Graph-level entry point: every call flattens the pattern and the
+// database graph, builds the target's label domains, then runs the flat
+// search — what callers holding plain Graphs pay per containment test.
 void BM_Vf2Contains(benchmark::State& state) {
   const GraphDatabase& db = SharedDb();
   Rng rng(1);
@@ -54,9 +57,9 @@ void BM_Vf2Contains(benchmark::State& state) {
 }
 BENCHMARK(BM_Vf2Contains)->Arg(3)->Arg(6)->Arg(9)->Arg(12);
 
-// Flat-kernel counterpart of BM_Vf2Contains: the same containment tests
-// driven off precomputed CSR targets with label-domain bitsets (DESIGN.md
-// §15). The gap to BM_Vf2Contains is the per-call win of the flat hot path.
+// The same containment tests against precomputed CSR targets with
+// label-domain bitsets (DESIGN.md §15). The gap to BM_Vf2Contains is the
+// per-call flattening that prebuilding the targets once saves.
 void BM_FlatVf2Contains(benchmark::State& state) {
   const GraphDatabase& db = SharedDb();
   Rng rng(1);

@@ -150,10 +150,7 @@ std::optional<GraphDatabase> ReadDatabaseOrComplain(
     }
     return db;
   }
-  if (rep.graphs_quarantined > 0 || !rep.quarantine_reasons.empty() ||
-      rep.stopped_early) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), rep.Summary().c_str());
-  }
+  cli::PrintIngestSummary(path, rep);
   // Quarantine mode never fails the read, but a database with nothing in it
   // is useless to every subcommand — treat it as the error it is.
   if (db->size() == 0) {
@@ -162,17 +159,6 @@ std::optional<GraphDatabase> ReadDatabaseOrComplain(
     return std::nullopt;
   }
   return db;
-}
-
-// Shared ingestion flags of the database-reading subcommands: the
-// structural limits, plus --mem-budget-mb bounding ingestion too.
-IngestOptions IngestOptionsFromFlags(const Flags& flags) {
-  IngestOptions options = cli::IngestLimitsFromFlags(flags);
-  long mb = flags.GetInt("mem-budget-mb", 0);
-  if (mb > 0) {
-    options.memory = MemoryBudget::Limited(0, static_cast<size_t>(mb) << 20);
-  }
-  return options;
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -200,7 +186,7 @@ int CmdMine(const Flags& flags) {
   auto db_path = flags.Get("db");
   auto out = flags.Get("out");
   if (!db_path || !out) return Usage();
-  IngestOptions ingest = IngestOptionsFromFlags(flags);
+  IngestOptions ingest = cli::IngestLimitsFromFlags(flags);
   IngestReport ingest_report;
   int read_exit = kExitUsage;
   auto db = ReadDatabaseOrComplain(*db_path, ingest, &ingest_report,
@@ -379,11 +365,11 @@ int CmdEvaluate(const Flags& flags) {
   auto patterns_path = flags.Get("patterns");
   if (!db_path || !patterns_path) return Usage();
   int read_exit = kExitUsage;
-  auto db = ReadDatabaseOrComplain(*db_path, IngestOptionsFromFlags(flags),
+  auto db = ReadDatabaseOrComplain(*db_path, cli::IngestLimitsFromFlags(flags),
                                    nullptr, &read_exit);
   if (!db) return read_exit;
   auto patterns = ReadDatabaseOrComplain(
-      *patterns_path, IngestOptionsFromFlags(flags), nullptr, &read_exit);
+      *patterns_path, cli::IngestLimitsFromFlags(flags), nullptr, &read_exit);
   if (!patterns) return read_exit;
   QueryWorkloadOptions wl;
   wl.count = static_cast<size_t>(flags.GetInt("queries", 100));
@@ -407,7 +393,7 @@ int CmdSearch(const Flags& flags) {
   auto db_path = flags.Get("db");
   if (!db_path) return Usage();
   int read_exit = kExitUsage;
-  auto db = ReadDatabaseOrComplain(*db_path, IngestOptionsFromFlags(flags),
+  auto db = ReadDatabaseOrComplain(*db_path, cli::IngestLimitsFromFlags(flags),
                                    nullptr, &read_exit);
   if (!db) return read_exit;
   GraphId source = static_cast<GraphId>(flags.GetInt("query-id", 0));

@@ -17,6 +17,10 @@
 //       [--admin-listen unix:PATH|tcp:HOST:PORT] [--request-log FILE]
 //       [--slow-request-ms MS]
 //
+// --mem-budget-mb bounds the tracked memory of ingestion as well as of the
+// pipeline, exactly as in `catapult_cli mine`; a read that stops early or
+// quarantines graphs prints its summary to stderr.
+//
 // Observability (DESIGN.md §16): --admin-listen opens a second listener
 // serving /metrics (Prometheus text), /statusz (JSON) and /healthz while
 // requests are in flight; --request-log appends one JSONL line per
@@ -91,6 +95,7 @@ int main(int argc, char** argv) {
                                              : parse_error.message.c_str());
     return parse_error.line > 0 ? kExitParseError : kExitUsage;
   }
+  cli::PrintIngestSummary(*db_path, ingest_report);
   if (db->size() == 0) {
     std::fprintf(stderr, "%s: no graphs ingested\n", db_path->c_str());
     return kExitParseError;

@@ -8,6 +8,7 @@
 //                   [--gamma N] [--min-size K] [--max-size K] [--seed S]
 //                   [--sampling] [--max-graph-vertices N]
 //                   [--max-graph-edges N] [--max-graphs N] [--strict-parse]
+//                   [--mem-budget-mb MB]
 //                   [--dial-timeout-ms MS] [--max-dial-attempts N]
 //                   [--metrics-out FILE] [--trace-out FILE]
 //
@@ -75,6 +76,7 @@ int main(int argc, char** argv) {
                  error.message.empty() ? "cannot read" : error.message.c_str());
     return error.line > 0 ? 2 : 1;
   }
+  cli::PrintIngestSummary(*db_path, report);
   if (db->size() == 0) {
     std::fprintf(stderr, "%s: no graphs ingested\n", db_path->c_str());
     return 2;

@@ -9,6 +9,7 @@
 #define CATAPULT_EXAMPLES_CLI_FLAGS_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -59,8 +60,11 @@ class Flags {
   std::vector<std::pair<std::string, std::string>> values_;
 };
 
-// The structural ingestion limits: --max-graph-vertices, --max-graph-edges,
-// --max-graphs (0 = no cap) and --strict-parse.
+// The ingestion options every database-reading binary shares: the
+// structural limits --max-graph-vertices, --max-graph-edges, --max-graphs
+// (0 = no cap) and --strict-parse, plus --mem-budget-mb bounding ingestion
+// too. catapult_worker derives its database fingerprint from a read under
+// these options, so it ingests exactly the graphs the supervisor did.
 inline IngestOptions IngestLimitsFromFlags(const Flags& flags) {
   IngestOptions options;
   options.limits.max_vertices_per_graph = static_cast<size_t>(flags.GetInt(
@@ -72,7 +76,22 @@ inline IngestOptions IngestLimitsFromFlags(const Flags& flags) {
   options.limits.max_graphs =
       static_cast<size_t>(flags.GetInt("max-graphs", 0));
   options.strict = flags.GetBool("strict-parse");
+  long mem_budget_mb = flags.GetInt("mem-budget-mb", 0);
+  if (mem_budget_mb > 0) {
+    options.memory =
+        MemoryBudget::Limited(0, static_cast<size_t>(mem_budget_mb) << 20);
+  }
   return options;
+}
+
+// Prints the quarantine/memory summary of a read of `path` to stderr when
+// anything was skipped or ingestion stopped early; silent otherwise.
+inline void PrintIngestSummary(const std::string& path,
+                               const IngestReport& report) {
+  if (report.graphs_quarantined > 0 || !report.quarantine_reasons.empty() ||
+      report.stopped_early) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), report.Summary().c_str());
+  }
 }
 
 // The pipeline options of a database read with quarantine digest

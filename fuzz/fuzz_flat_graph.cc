@@ -6,7 +6,8 @@
 // and edge lists, binary-search FindEdge agreeing with the adjacency-scan
 // HasEdge/EdgeLabel on every vertex pair, label-domain bitsets matching a
 // direct label count, and the flat VF2 kernel agreeing with the reference
-// kernel on self-containment. Any divergence traps.
+// search of tests/reference_vf2.h on self-containment, verdict and node
+// count alike. Any divergence traps.
 //
 // Build: -DCATAPULT_FUZZ=ON with clang (links -fsanitize=fuzzer,address).
 // Under gcc the same file builds as a standalone regression driver that
@@ -21,7 +22,8 @@
 #include "src/graph/flat_graph.h"
 #include "src/graph/io.h"
 #include "src/iso/flat_vf2.h"
-#include "src/iso/vf2.h"
+#include "src/obs/metrics.h"
+#include "tests/reference_vf2.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string input(reinterpret_cast<const char*>(data), size);
@@ -87,15 +89,28 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       if ((words[v >> 6] & (uint64_t{1} << (v & 63))) == 0) __builtin_trap();
     }
 
-    // The flat kernel agrees with the reference kernel on self-containment
-    // (true for every non-empty connected graph; both must say the same
-    // even when g is disconnected and the kernels are not applicable --
-    // ContainsSubgraph CHECKs connectivity, so only test connected inputs).
+    // The flat kernel agrees with the reference search on self-containment
+    // (true for every non-empty connected graph), in verdict and in nodes
+    // expanded. Both CHECK connectivity, so only connected inputs are fed.
     if (g.NumVertices() > 0 && catapult::IsConnected(g)) {
-      bool reference = catapult::ContainsSubgraph(g, g);
-      bool flat_result =
-          catapult::FlatContainsSubgraph(view, view, &domains);
+      catapult::obs::MetricsRegistry reference_metrics;
+      bool reference;
+      {
+        catapult::obs::ScopedMetricsScope scope(&reference_metrics);
+        reference = catapult::reference::ContainsSubgraph(g, g);
+      }
+      catapult::obs::MetricsRegistry flat_metrics;
+      bool flat_result;
+      {
+        catapult::obs::ScopedMetricsScope scope(&flat_metrics);
+        flat_result = catapult::FlatContainsSubgraph(view, view, &domains);
+      }
       if (reference != flat_result) __builtin_trap();
+      if (reference_metrics.Snapshot().counter(
+              catapult::obs::Counter::kVf2Nodes) !=
+          flat_metrics.Snapshot().counter(catapult::obs::Counter::kVf2Nodes)) {
+        __builtin_trap();
+      }
     }
   }
   return 0;

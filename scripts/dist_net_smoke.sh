@@ -15,7 +15,11 @@
 #      in-process fallback must still byte-match, with the dedicated
 #      exit code 7 flagging "completed only via fallback";
 #   5. rerun the fleet twice under CATAPULT_FIXED_TICKS — the merged trace
-#      must be byte-stable across runs (DESIGN.md §16).
+#      must be byte-stable across runs (DESIGN.md §16);
+#   6. run a Unix-socket fleet under --mem-budget-mb small enough to stop
+#      ingestion early — the worker must ingest the same graphs as the
+#      supervisor, so it joins (exit 0, dist.net.joins >= 1, no rejects)
+#      and the panel byte-matches the in-process run with the same flags.
 #
 # Usage: scripts/dist_net_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -154,5 +158,48 @@ diff "$WORK/fixed_trace_1.json" "$WORK/fixed_trace_2.json" \
 diff "$WORK/single.txt" "$WORK/fixed_1.txt" \
   || { echo "fixed-tick panel differs"; exit 1; }
 echo "   trace byte-identical across fixed-tick reruns"
+
+echo "== memory-bounded fleet: ingestion stops early on both sides"
+# A 1 MB bound stops ingestion of this 1000-graph file at about 810
+# graphs. The supervisor and the worker must stop at the same graph, or
+# the database half of the handshake fingerprint differs and the worker
+# is rejected. One scaffold family keeps the pipeline itself under the
+# bound, so nothing degrades and the panel is comparable byte for byte.
+MEM_FLAGS=(--mem-budget-mb 1 --gamma 3 --max-size 4)
+"$CLI" generate --out "$WORK/mem_db.txt" --graphs 1000 --families 1 \
+  --seed 3 > /dev/null
+"$CLI" mine --db "$WORK/mem_db.txt" --out "$WORK/mem_single.txt" \
+  "${MEM_FLAGS[@]}" > "$WORK/mem_single.log" 2>&1
+grep -q "stopped early: memory budget exhausted" "$WORK/mem_single.log" \
+  || { echo "memory bound did not stop ingestion"; cat "$WORK/mem_single.log"; exit 1; }
+MSOCK=unix:$WORK/mem.sock
+"$CLI" mine --db "$WORK/mem_db.txt" --out "$WORK/mem_fleet.txt" \
+  "${MEM_FLAGS[@]}" --processes 2 --listen "$MSOCK" \
+  --metrics-out "$WORK/mem_metrics.json" > "$WORK/mem_fleet.log" 2>&1 &
+SUP_PID=$!
+MEM_WORKER_PIDS=()
+for name in a b; do
+  "$WORKER" --db "$WORK/mem_db.txt" --connect "$MSOCK" --name "mem-$name" \
+    "${MEM_FLAGS[@]}" > "$WORK/mem_worker_$name.log" 2>&1 &
+  MEM_WORKER_PIDS+=("$!")
+  WORKER_PIDS+=("$!")
+done
+wait "$SUP_PID" \
+  || { echo "memory-bounded supervisor failed"; cat "$WORK/mem_fleet.log"; exit 1; }
+for pid in "${MEM_WORKER_PIDS[@]}"; do
+  wait "$pid" || { echo "memory-bounded worker exited $?"; \
+    cat "$WORK"/mem_worker_*.log; exit 1; }
+done
+WORKER_PIDS=()
+python3 - "$WORK/mem_metrics.json" <<'PY' || exit 1
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+joins, rejects = counters["dist.net.joins"], counters["dist.net.rejects"]
+if joins < 1 or rejects != 0:
+    sys.exit(f"expected joins >= 1 and rejects == 0, got {joins} / {rejects}")
+PY
+diff "$WORK/mem_single.txt" "$WORK/mem_fleet.txt" \
+  || { echo "memory-bounded fleet panel differs"; exit 1; }
+echo "   workers joined under the memory bound, panel byte-identical"
 
 echo "dist_net_smoke: all checks passed"

@@ -13,6 +13,7 @@
 #include "src/cluster/feature_vectors.h"
 #include "src/cluster/kmeans.h"
 #include "src/dist/supervisor.h"
+#include "src/iso/flat_vf2.h"
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -93,6 +94,9 @@ ClusteringResult SamplingCoarseStage(const GraphDatabase& db,
   const size_t min_count = static_cast<size_t>(std::max(
       1.0, options.clustering.miner.min_support *
                static_cast<double>(db.size())));
+  std::vector<GraphId> all(db.size());
+  for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
+  const FlatTargets targets = FlatTargets::Build(db, all);
   std::vector<DynamicBitset> supports(candidates.size());
   std::vector<uint8_t> frequent(candidates.size(), 0);
   std::atomic<bool> stop_verifying{false};
@@ -102,7 +106,7 @@ ClusteringResult SamplingCoarseStage(const GraphDatabase& db,
       stop_verifying.store(true, std::memory_order_relaxed);
       return;
     }
-    DynamicBitset support = CountSupport(candidates[i].tree, db);
+    DynamicBitset support = CountSupport(candidates[i].tree, targets);
     if (support.Count() < min_count) return;
     supports[i] = std::move(support);
     frequent[i] = 1;
@@ -127,8 +131,6 @@ ClusteringResult SamplingCoarseStage(const GraphDatabase& db,
   // Coarse clustering over the full database; feature vectors come straight
   // from the verified support sets (bit i of subtree j <=> graph i).
   WallTimer coarse_timer;
-  std::vector<GraphId> all(db.size());
-  for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
   std::vector<std::vector<GraphId>> coarse;
   // The feature matrix is the phase's dominant allocation; charge it before
   // materialising. A refused charge sheds coarse clustering entirely (one

@@ -47,13 +47,13 @@ struct FlatSummaryIndex {
 FlatSummaryIndex BuildFlatSummaryIndex(
     const std::vector<ClusterSummaryGraph>& csgs);
 
-// Flat-kernel CoveredCsgs: marks, in the packed bitmap `out_words`
-// (CoverageWords(index.size()) words, caller-zeroed region overwritten),
-// which summaries contain `pattern`. Identical results and truncation
-// semantics to CoveredCsgs on the plain-graph summaries: empty summaries are
+// The covered-CSG test behind ccov (Section 5): marks, in the packed bitmap
+// `out_words` (CoverageWords(index.size()) words, caller-zeroed region
+// overwritten), which summaries contain `pattern`. Empty summaries are
 // skipped (bit stays 0), a zero budget selects kDefaultCoverageIsoBudget,
 // and each budget-truncated test conservatively reports "not contained" and
-// increments `budget_exhausted` (optional).
+// increments `budget_exhausted` (optional), so truncation is observable
+// instead of silent.
 void CoveredCsgsFlat(const Graph& pattern, const FlatSummaryIndex& index,
                      uint64_t iso_node_budget, uint64_t* budget_exhausted,
                      uint64_t* out_words);

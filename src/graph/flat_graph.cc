@@ -178,6 +178,14 @@ FlatGraphDatabase FlatGraphDatabase::Build(const std::vector<Graph>& graphs) {
   return out;
 }
 
+FlatGraphDatabase FlatGraphDatabase::Build(const GraphDatabase& db,
+                                           const std::vector<GraphId>& ids) {
+  FlatGraphDatabase out;
+  out.metas_.reserve(ids.size());
+  for (GraphId id : ids) out.Append(db.graph(id));
+  return out;
+}
+
 FlatGraphView FlatGraphDatabase::view(size_t id) const {
   CATAPULT_CHECK(id < metas_.size());
   const Meta& meta = metas_[id];

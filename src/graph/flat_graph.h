@@ -128,6 +128,9 @@ class FlatGraphDatabase {
   static FlatGraphDatabase Build(const GraphDatabase& db);
   // Same arena build from free-standing graphs (e.g. CSG summary views).
   static FlatGraphDatabase Build(const std::vector<Graph>& graphs);
+  // Same arena build over the graphs `ids` of `db`: view(i) is graph ids[i].
+  static FlatGraphDatabase Build(const GraphDatabase& db,
+                                 const std::vector<GraphId>& ids);
 
   size_t size() const { return metas_.size(); }
   bool empty() const { return metas_.empty(); }

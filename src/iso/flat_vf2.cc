@@ -8,7 +8,8 @@ namespace catapult {
 
 namespace {
 
-// Mirrors the batching of vf2.cc: one bookkeeping record per search.
+// One bookkeeping batch per search (not per node): the per-node cost of
+// instrumentation inside Backtrack would dwarf the work it measures.
 void RecordSearch(uint64_t nodes, bool budget_exhausted) {
   obs::Count(obs::Counter::kVf2Calls);
   obs::Count(obs::Counter::kVf2Nodes, nodes);
@@ -17,8 +18,7 @@ void RecordSearch(uint64_t nodes, bool budget_exhausted) {
 }
 
 // Root choice: rarest label in the target, ties broken by highest pattern
-// degree — the same ranking SubgraphIsomorphism computes from a label-count
-// map, read here from the precomputed domain counts.
+// degree, read from the precomputed domain counts.
 VertexId PickRoot(const FlatGraphView& pattern, const LabelDomains& domains) {
   VertexId best = 0;
   size_t rb = domains.CountOf(pattern.VertexLabel(0));
@@ -32,22 +32,26 @@ VertexId PickRoot(const FlatGraphView& pattern, const LabelDomains& domains) {
   return best;
 }
 
+using EmbeddingVisitor = std::function<bool(const Embedding&)>;
+
 struct FlatSearch {
   const FlatGraphView& pattern;
   const FlatGraphView& target;
   const LabelDomains& domains;
   const IsoOptions& options;
+  const EmbeddingVisitor* visitor;  // null: existence only
   std::vector<VertexId> order;
   std::vector<int> parent;
   std::vector<int> position;
-  std::vector<VertexId> mapping;
+  Embedding mapping;
   std::vector<bool> target_used;
   uint64_t nodes = 0;
-  bool found = false;
+  size_t found = 0;
 
   FlatSearch(const FlatGraphView& p, const FlatGraphView& t,
-             const LabelDomains& d, const IsoOptions& opt)
-      : pattern(p), target(t), domains(d), options(opt) {
+             const LabelDomains& d, const IsoOptions& opt,
+             const EmbeddingVisitor* v)
+      : pattern(p), target(t), domains(d), options(opt), visitor(v) {
     order.reserve(pattern.NumVertices());
     parent.assign(pattern.NumVertices(), -1);
     position.assign(pattern.NumVertices(), -1);
@@ -114,8 +118,10 @@ struct FlatSearch {
     ++nodes;
 
     if (depth == order.size()) {
-      found = true;
-      return false;  // existence only: stop at the first embedding
+      ++found;
+      // Existence stops at the first embedding; enumeration asks the
+      // visitor whether to go on.
+      return visitor != nullptr && (*visitor)(mapping);
     }
 
     VertexId pv = order[depth];
@@ -149,12 +155,11 @@ struct FlatSearch {
   }
 };
 
-}  // namespace
-
-bool FlatContainsSubgraph(const FlatGraphView& pattern,
-                          const FlatGraphView& target,
-                          const LabelDomains* target_domains,
-                          IsoOptions options) {
+// One search: the size precheck, the backtracking and its bookkeeping.
+// Returns the number of embeddings visited.
+size_t RunSearch(const FlatGraphView& pattern, const FlatGraphView& target,
+                 const LabelDomains* target_domains, const IsoOptions& options,
+                 const EmbeddingVisitor* visitor) {
   CATAPULT_CHECK(pattern.NumVertices() > 0);
   if (options.budget_exhausted != nullptr) {
     *options.budget_exhausted = false;
@@ -164,15 +169,45 @@ bool FlatContainsSubgraph(const FlatGraphView& pattern,
     local = LabelDomains::Build(target);
     target_domains = &local;
   }
-  FlatSearch search(pattern, target, *target_domains, options);
+  // Built before the precheck so a disconnected pattern CHECK-fails even
+  // when it could never fit.
+  FlatSearch search(pattern, target, *target_domains, options, visitor);
   if (pattern.NumVertices() > target.NumVertices() ||
       pattern.NumEdges() > target.NumEdges()) {
-    return false;  // same silent precheck as SubgraphIsomorphism::Exists
+    return 0;  // silent: no search ran, so nothing is recorded
   }
   search.Backtrack(0);
   RecordSearch(search.nodes, options.node_budget != 0 &&
                                  search.nodes >= options.node_budget);
   return search.found;
+}
+
+}  // namespace
+
+bool FlatContainsSubgraph(const FlatGraphView& pattern,
+                          const FlatGraphView& target,
+                          const LabelDomains* target_domains,
+                          IsoOptions options) {
+  return RunSearch(pattern, target, target_domains, options, nullptr) > 0;
+}
+
+size_t FlatEnumerateEmbeddings(const FlatGraphView& pattern,
+                               const FlatGraphView& target,
+                               const LabelDomains* target_domains,
+                               const EmbeddingVisitor& visitor,
+                               IsoOptions options) {
+  return RunSearch(pattern, target, target_domains, options, &visitor);
+}
+
+FlatTargets FlatTargets::Build(const GraphDatabase& db,
+                               const std::vector<GraphId>& ids) {
+  FlatTargets targets;
+  targets.flat = FlatGraphDatabase::Build(db, ids);
+  targets.domains.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    targets.domains.push_back(LabelDomains::Build(targets.flat.view(i)));
+  }
+  return targets;
 }
 
 }  // namespace catapult

@@ -2,7 +2,6 @@
 #define CATAPULT_ISO_VF2_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -32,54 +31,18 @@ struct IsoOptions {
 // pattern vertex i.
 using Embedding = std::vector<VertexId>;
 
-// VF2-style backtracking subgraph isomorphism.
-//
-// The matching order is a BFS order of the pattern rooted at its most
-// constrained vertex (rarest label, then highest degree), so every vertex
-// after the first is matched adjacent to already-matched vertices; candidate
-// target vertices are filtered by label, degree, and adjacency consistency.
-class SubgraphIsomorphism {
- public:
-  // `pattern` must be connected and non-empty.
-  SubgraphIsomorphism(const Graph& pattern, const Graph& target,
-                      IsoOptions options = {});
+// Graph-level entry points. Each flattens its inputs per call and runs the
+// one subgraph-isomorphism kernel, the flat VF2 search of
+// src/iso/flat_vf2.h; code that tests one pattern against many fixed
+// targets should flatten the targets once and call that kernel directly.
+// `pattern` must be connected and non-empty (CHECK).
 
-  // True if at least one embedding exists.
-  bool Exists();
-
-  // Number of embeddings, stopping early at `cap` (0 = no cap). Note that
-  // automorphic images count separately.
-  size_t Count(size_t cap);
-
-  // Invokes `visitor` for each embedding until it returns false or the
-  // search space is exhausted. Returns the number of embeddings visited.
-  size_t Enumerate(const std::function<bool(const Embedding&)>& visitor);
-
- private:
-  bool Backtrack(size_t depth, const std::function<bool(const Embedding&)>& visitor,
-                 size_t& found);
-
-  // True when the last search stopped because it hit the node budget.
-  bool BudgetExhausted() const {
-    return options_.node_budget != 0 && nodes_ >= options_.node_budget;
-  }
-
-  const Graph& pattern_;
-  const Graph& target_;
-  IsoOptions options_;
-  std::vector<VertexId> order_;  // pattern vertices in matching order
-  std::vector<int> parent_;      // BFS anchor vertex id, indexed by vertex
-  std::vector<int> position_;    // index in order_, indexed by vertex
-  Embedding mapping_;                    // pattern vertex -> target vertex
-  std::vector<bool> target_used_;
-  uint64_t nodes_ = 0;
-};
-
-// Convenience: true if `pattern` has an embedding in `target`.
+// True if `pattern` has an embedding in `target`.
 bool ContainsSubgraph(const Graph& pattern, const Graph& target,
                       IsoOptions options = {});
 
-// Convenience: up to `max_count` embeddings of `pattern` in `target`.
+// Up to `max_count` (0 = all) embeddings of `pattern` in `target`, in search
+// order. Automorphic images count separately.
 std::vector<Embedding> FindEmbeddings(const Graph& pattern,
                                       const Graph& target, size_t max_count,
                                       IsoOptions options = {});

@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/iso/vf2.h"
+#include "src/iso/flat_vf2.h"
 #include "src/tree/canonical.h"
 #include "src/util/check.h"
 
@@ -20,13 +20,15 @@ struct Candidate {
   const DynamicBitset* parent_support;
 };
 
-DynamicBitset CountSupportWithin(const Graph& tree, const GraphDatabase& db,
-                                 const std::vector<GraphId>& graph_ids,
+// Support of `tree` over `targets`, testing only the targets set in
+// `restrict_to` (all when null).
+DynamicBitset CountSupportWithin(const Graph& tree, const FlatTargets& targets,
                                  const DynamicBitset* restrict_to) {
-  DynamicBitset support(graph_ids.size());
-  for (size_t i = 0; i < graph_ids.size(); ++i) {
+  FlatGraph flat_tree = FlatGraph::Build(tree);
+  DynamicBitset support(targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
     if (restrict_to != nullptr && !restrict_to->Test(i)) continue;
-    if (ContainsSubgraph(tree, db.graph(graph_ids[i]))) support.Set(i);
+    if (targets.Contains(flat_tree.View(), i)) support.Set(i);
   }
   return support;
 }
@@ -96,7 +98,9 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
   }
   std::sort(frequent_labels.begin(), frequent_labels.end());
 
-  // Level-wise growth.
+  // Level-wise growth. Support counting tests every candidate against the
+  // same graphs, so they are flattened once here, not once per test.
+  const FlatTargets targets = FlatTargets::Build(db, graph_ids);
   while (!frontier.empty()) {
     for (FrequentSubtree& fs : frontier) results.push_back(fs);
     if (frontier.front().tree.NumEdges() >= options.max_edges) break;
@@ -144,7 +148,7 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
         break;
       }
       DynamicBitset support =
-          CountSupportWithin(c.tree, db, graph_ids, c.parent_support);
+          CountSupportWithin(c.tree, targets, c.parent_support);
       if (support.Count() < min_count) continue;
       FrequentSubtree fs;
       fs.frequency = static_cast<double>(support.Count()) /
@@ -179,12 +183,14 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
   return MineFrequentSubtrees(db, all, options);
 }
 
+DynamicBitset CountSupport(const Graph& tree, const FlatTargets& targets) {
+  return CountSupportWithin(tree, targets, nullptr);
+}
+
 DynamicBitset CountSupport(const Graph& tree, const GraphDatabase& db) {
-  DynamicBitset support(db.size());
-  for (GraphId i = 0; i < db.size(); ++i) {
-    if (ContainsSubgraph(tree, db.graph(i))) support.Set(i);
-  }
-  return support;
+  std::vector<GraphId> all(db.size());
+  for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
+  return CountSupport(tree, FlatTargets::Build(db, all));
 }
 
 }  // namespace catapult

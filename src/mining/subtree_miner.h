@@ -10,6 +10,8 @@
 
 namespace catapult {
 
+struct FlatTargets;  // src/iso/flat_vf2.h
+
 // Options for frequent free-tree mining (Section 4.1; Chi et al. style
 // pattern growth with canonical-form deduplication).
 struct SubtreeMinerOptions {
@@ -64,7 +66,10 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
 
 // Recounts the support of `tree` over the full database (used after eager
 // sampling: mine with a lowered threshold on the sample, then verify with
-// the original threshold on D; Section 4.3).
+// the original threshold on D; Section 4.3). Bit i is target i.
+DynamicBitset CountSupport(const Graph& tree, const FlatTargets& targets);
+
+// The same over `db` flattened for this one call.
 DynamicBitset CountSupport(const Graph& tree, const GraphDatabase& db);
 
 }  // namespace catapult

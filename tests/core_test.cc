@@ -3,6 +3,7 @@
 #include "src/core/budget.h"
 #include "src/core/pattern_score.h"
 #include "src/core/random_walk.h"
+#include "src/core/score_table.h"
 #include "src/core/weights.h"
 #include "src/csg/csg.h"
 #include "src/graph/algorithms.h"
@@ -270,12 +271,24 @@ TEST(RandomWalkTest, FcpIsConnected) {
   EXPECT_TRUE(IsConnected(PatternFromCsgEdges(csg, fcp)));
 }
 
+// ccov(p, cw, C): the sum of current cluster weights over the clusters
+// whose CSG contains p, read from CoveredCsgsFlat's bitmap.
+double Ccov(const Graph& pattern, const FlatSummaryIndex& index,
+            const ClusterWeights& weights) {
+  std::vector<uint64_t> words(CoverageWords(index.size()), 0);
+  CoveredCsgsFlat(pattern, index, kDefaultCoverageIsoBudget, nullptr,
+                  words.data());
+  double total = 0.0;
+  for (size_t i = 0; i < index.size(); ++i) {
+    if ((words[i >> 6] >> (i & 63)) & 1) total += weights.Get(i);
+  }
+  return total;
+}
+
 TEST(CoverageTest, CcovSumsCoveredWeights) {
   GraphDatabase db = WeightsDb();
   std::vector<std::vector<GraphId>> clusters = {{0, 1}, {2, 3}};
-  auto csgs = BuildCsgs(db, clusters);
-  std::vector<Graph> summaries;
-  for (const auto& c : csgs) summaries.push_back(c.ToGraph());
+  FlatSummaryIndex index = BuildFlatSummaryIndex(BuildCsgs(db, clusters));
   ClusterWeights cw(clusters, db.size());
   Label C = db.labels().Find("C");
   Label N = db.labels().Find("N");
@@ -284,13 +297,13 @@ TEST(CoverageTest, CcovSumsCoveredWeights) {
   cn.AddVertex(N);
   cn.AddEdge(0, 1);
   // C-N occurs only in graphs 0,1 -> only cluster 0's summary contains it.
-  EXPECT_DOUBLE_EQ(ClusterCoverage(cn, summaries, cw), 0.5);
+  EXPECT_DOUBLE_EQ(Ccov(cn, index, cw), 0.5);
   Label O = db.labels().Find("O");
   Graph co;
   co.AddVertex(C);
   co.AddVertex(O);
   co.AddEdge(0, 1);
-  EXPECT_DOUBLE_EQ(ClusterCoverage(co, summaries, cw), 1.0);
+  EXPECT_DOUBLE_EQ(Ccov(co, index, cw), 1.0);
 }
 
 }  // namespace

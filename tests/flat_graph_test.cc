@@ -2,8 +2,9 @@
 // §15): the CSR layout must reproduce the source Graph exactly — labels,
 // degrees, insertion-order adjacency, round-tripped edge lists — its binary-
 // search lookups must agree with the adjacency scan on every vertex pair,
-// and the flat VF2 kernel must return the same verdicts, node-budget
-// truncations included, as the reference kernel.
+// and the flat VF2 kernel must return the same verdicts, embedding
+// sequences and node counts, budget truncations included, as the reference
+// search kept in tests/reference_vf2.h.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,9 @@
 #include "src/graph/flat_graph.h"
 #include "src/iso/flat_vf2.h"
 #include "src/iso/vf2.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
+#include "tests/reference_vf2.h"
 
 namespace catapult {
 namespace {
@@ -169,11 +172,8 @@ TEST(FlatGraphDatabaseTest, ArenaViewsEqualStandaloneBuilds) {
   single.AddVertex(2);
   graphs.push_back(single);
 
-  FlatGraphDatabase arena = FlatGraphDatabase::Build(graphs);
-  ASSERT_EQ(arena.size(), graphs.size());
-  for (size_t id = 0; id < graphs.size(); ++id) {
-    FlatGraph standalone = FlatGraph::Build(graphs[id]);
-    FlatGraphView a = arena.view(id);
+  auto ExpectSameAsStandalone = [](FlatGraphView a, const Graph& g) {
+    FlatGraph standalone = FlatGraph::Build(g);
     FlatGraphView b = standalone.View();
     ASSERT_EQ(a.NumVertices(), b.NumVertices());
     ASSERT_EQ(a.NumEdges(), b.NumEdges());
@@ -191,6 +191,23 @@ TEST(FlatGraphDatabaseTest, ArenaViewsEqualStandaloneBuilds) {
         EXPECT_EQ(a.HasEdge(v, u), b.HasEdge(v, u));
       }
     }
+  };
+
+  FlatGraphDatabase arena = FlatGraphDatabase::Build(graphs);
+  ASSERT_EQ(arena.size(), graphs.size());
+  for (size_t id = 0; id < graphs.size(); ++id) {
+    ExpectSameAsStandalone(arena.view(id), graphs[id]);
+  }
+
+  // An id-list build over a database slices the listed graphs, in list
+  // order.
+  GraphDatabase db;
+  for (const Graph& g : graphs) db.Add(g);
+  std::vector<GraphId> ids = {13, 2, 12, 0, 7};
+  FlatGraphDatabase subset = FlatGraphDatabase::Build(db, ids);
+  ASSERT_EQ(subset.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ExpectSameAsStandalone(subset.view(i), graphs[ids[i]]);
   }
 }
 
@@ -250,7 +267,8 @@ TEST(FlatVf2Test, AgreesWithReferenceKernel) {
         IsoOptions options;
         options.induced = induced;
         options.match_edge_labels = match_edge_labels;
-        bool reference = ContainsSubgraph(pattern, target, options);
+        bool reference =
+            reference::ContainsSubgraph(pattern, target, options);
         bool flat = FlatContainsSubgraph(flat_pattern.View(),
                                          flat_target.View(), &domains,
                                          options);
@@ -274,6 +292,45 @@ TEST(FlatVf2Test, NullDomainsBuildsOwn) {
                                    nullptr));
 }
 
+TEST(FlatVf2Test, EnumerationMatchesReferenceSequence) {
+  // Enumeration visits the same embeddings in the same order, and a capped
+  // enumeration stops at the same one.
+  Rng rng(7);
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Graph target = RandomGraph(seed, 5, 10, 2);
+    Graph pattern = seed % 2 == 0
+                        ? RandomConnectedSubgraph(target, 1 + seed % 4, rng)
+                        : RandomGraph(seed + 900, 2, 4, 2);
+    FlatGraph flat_pattern = FlatGraph::Build(pattern);
+    FlatGraph flat_target = FlatGraph::Build(target);
+    for (bool induced : {false, true}) {
+      for (size_t cap : {size_t{0}, size_t{1}, size_t{3}}) {
+        IsoOptions options;
+        options.induced = induced;
+        std::vector<Embedding> expected;
+        reference::SubgraphIsomorphism(pattern, target, options)
+            .Enumerate([&](const Embedding& e) {
+              expected.push_back(e);
+              return cap == 0 || expected.size() < cap;
+            });
+        std::vector<Embedding> flat;
+        size_t visited = FlatEnumerateEmbeddings(
+            flat_pattern.View(), flat_target.View(), nullptr,
+            [&](const Embedding& e) {
+              flat.push_back(e);
+              return cap == 0 || flat.size() < cap;
+            },
+            options);
+        EXPECT_EQ(visited, flat.size());
+        EXPECT_EQ(flat, expected)
+            << "seed " << seed << " induced=" << induced << " cap " << cap;
+        EXPECT_EQ(FindEmbeddings(pattern, target, cap, options), expected)
+            << "seed " << seed << " induced=" << induced << " cap " << cap;
+      }
+    }
+  }
+}
+
 TEST(FlatVf2Test, BudgetTruncationMatchesReference) {
   // The bit-identity contract extends to truncated searches: both kernels
   // must explore the same number of nodes and truncate at the same point.
@@ -288,15 +345,34 @@ TEST(FlatVf2Test, BudgetTruncationMatchesReference) {
       options.node_budget = budget;
       bool ref_exhausted = false;
       options.budget_exhausted = &ref_exhausted;
-      bool reference = ContainsSubgraph(pattern, target, options);
+      obs::MetricsRegistry ref_metrics;
+      bool reference;
+      {
+        obs::ScopedMetricsScope scope(&ref_metrics);
+        reference = reference::ContainsSubgraph(pattern, target, options);
+      }
       bool flat_exhausted = false;
       options.budget_exhausted = &flat_exhausted;
-      bool flat = FlatContainsSubgraph(flat_pattern.View(),
-                                       flat_target.View(), &domains, options);
+      obs::MetricsRegistry flat_metrics;
+      bool flat;
+      {
+        obs::ScopedMetricsScope scope(&flat_metrics);
+        flat = FlatContainsSubgraph(flat_pattern.View(), flat_target.View(),
+                                    &domains, options);
+      }
       EXPECT_EQ(reference, flat)
           << "seed " << seed << " budget " << budget;
       EXPECT_EQ(ref_exhausted, flat_exhausted)
           << "seed " << seed << " budget " << budget;
+      obs::MetricsSnapshot ref_snap = ref_metrics.Snapshot();
+      obs::MetricsSnapshot flat_snap = flat_metrics.Snapshot();
+      for (obs::Counter c :
+           {obs::Counter::kVf2Calls, obs::Counter::kVf2Nodes,
+            obs::Counter::kVf2BudgetExhausted}) {
+        EXPECT_EQ(ref_snap.counter(c), flat_snap.counter(c))
+            << "seed " << seed << " budget " << budget << " counter "
+            << static_cast<int>(c);
+      }
     }
   }
 }

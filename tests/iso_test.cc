@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "src/iso/ged.h"
 #include "src/iso/mcs.h"
 #include "src/iso/vf2.h"
@@ -92,25 +95,24 @@ TEST(Vf2Test, InducedModeRejectsExtraEdges) {
 TEST(Vf2Test, CountEmbeddingsOfEdgeInTriangle) {
   // An unlabelled edge has 6 embeddings in a triangle (3 edges x 2
   // orientations).
-  EXPECT_EQ(SubgraphIsomorphism(Path(2), Ring(3)).Count(0), 6u);
+  EXPECT_EQ(FindEmbeddings(Path(2), Ring(3), 0).size(), 6u);
 }
 
 TEST(Vf2Test, CountRespectsCap) {
-  EXPECT_EQ(SubgraphIsomorphism(Path(2), Ring(3)).Count(4), 4u);
+  EXPECT_EQ(FindEmbeddings(Path(2), Ring(3), 4).size(), 4u);
 }
 
 TEST(Vf2Test, EnumerateProducesValidEmbeddings) {
   Graph pattern = Path(3);
   Graph target = Ring(4);
-  SubgraphIsomorphism iso(pattern, target);
-  size_t count = iso.Enumerate([&](const Embedding& e) {
+  std::vector<Embedding> embeddings = FindEmbeddings(pattern, target, 0);
+  for (const Embedding& e : embeddings) {
     // Each pattern edge must be realised.
     for (const Edge& pe : pattern.EdgeList()) {
       EXPECT_TRUE(target.HasEdge(e[pe.u], e[pe.v]));
     }
-    return true;
-  });
-  EXPECT_GT(count, 0u);
+  }
+  EXPECT_GT(embeddings.size(), 0u);
 }
 
 TEST(Vf2Test, MatchEdgeLabels) {
@@ -135,6 +137,126 @@ TEST(Vf2Test, BudgetExhaustionReported) {
   options.budget_exhausted = &exhausted;
   EXPECT_FALSE(ContainsSubgraph(Ring(6), Ring(12), options));
   EXPECT_TRUE(exhausted);
+}
+
+// A seeded labelled graph on `n` vertices: a random spanning tree (so the
+// graph is connected) plus up to `extra` random chords when `connected`,
+// otherwise independent random edges. Vertex labels come from {0, 1, 2},
+// edge labels from {0, 1}: small alphabets keep embeddings plentiful.
+Graph SeededGraph(Rng& rng, size_t n, size_t extra, bool connected) {
+  Graph g;
+  for (size_t v = 0; v < n; ++v) {
+    g.AddVertex(static_cast<Label>(rng.UniformInt(3)));
+  }
+  if (connected) {
+    for (size_t v = 1; v < n; ++v) {
+      g.AddEdge(static_cast<VertexId>(rng.UniformInt(v)),
+                static_cast<VertexId>(v),
+                static_cast<Label>(rng.UniformInt(2)));
+    }
+  }
+  for (size_t e = 0; e < extra; ++e) {
+    VertexId u = static_cast<VertexId>(rng.UniformInt(n));
+    VertexId v = static_cast<VertexId>(rng.UniformInt(n));
+    if (u != v && !g.HasEdge(u, v)) {
+      g.AddEdge(u, v, static_cast<Label>(rng.UniformInt(2)));
+    }
+  }
+  return g;
+}
+
+// Every injective vertex map of `pattern` into `target` that is an
+// embedding under `options`, found by trying all of them: labels agree,
+// every pattern edge lands on a target edge (with an equal label when
+// edge labels are matched) and, when induced, every pattern non-edge lands
+// on a target non-edge.
+std::vector<Embedding> BruteForceEmbeddings(const Graph& pattern,
+                                            const Graph& target,
+                                            const IsoOptions& options) {
+  std::vector<Embedding> out;
+  const size_t n = pattern.NumVertices();
+  Embedding map(n, 0);
+  std::vector<bool> used(target.NumVertices(), false);
+  std::function<void(size_t)> extend = [&](size_t i) {
+    if (i == n) {
+      for (VertexId u = 0; u < n; ++u) {
+        for (VertexId v = u + 1; v < n; ++v) {
+          bool target_edge = target.HasEdge(map[u], map[v]);
+          if (pattern.HasEdge(u, v)) {
+            if (!target_edge) return;
+            if (options.match_edge_labels &&
+                pattern.EdgeLabel(u, v) != target.EdgeLabel(map[u], map[v])) {
+              return;
+            }
+          } else if (options.induced && target_edge) {
+            return;
+          }
+        }
+      }
+      out.push_back(map);
+      return;
+    }
+    for (VertexId t = 0; t < target.NumVertices(); ++t) {
+      if (used[t] || target.VertexLabel(t) != pattern.VertexLabel(
+                                                  static_cast<VertexId>(i))) {
+        continue;
+      }
+      used[t] = true;
+      map[i] = t;
+      extend(i + 1);
+      used[t] = false;
+    }
+  };
+  extend(0);
+  return out;
+}
+
+TEST(Vf2BruteForceTest, AgreesWithExhaustiveInjectiveMaps) {
+  // Independent oracle for the kernel: patterns of at most 5 vertices
+  // against targets of at most 7, in all four (induced, match_edge_labels)
+  // combinations. Half the patterns are cut from the target, so positive
+  // verdicts are common; the rest are independent, including patterns
+  // larger than the target (the size precheck).
+  size_t with_embeddings = 0;
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    const size_t target_n = 1 + rng.UniformInt(7);
+    Graph target = SeededGraph(rng, target_n, rng.UniformInt(10),
+                               /*connected=*/rng.UniformInt(2) == 0);
+    Graph pattern;
+    if (seed % 2 == 0 && target.NumEdges() > 0) {
+      pattern = RandomConnectedSubgraph(target, 1 + rng.UniformInt(4), rng);
+    }
+    if (pattern.NumVertices() == 0 || pattern.NumVertices() > 5) {
+      pattern = SeededGraph(rng, 1 + rng.UniformInt(5), rng.UniformInt(4),
+                            /*connected=*/true);
+    }
+    ASSERT_TRUE(IsConnected(pattern));
+    for (bool induced : {false, true}) {
+      for (bool match_edge_labels : {false, true}) {
+        IsoOptions options;
+        options.induced = induced;
+        options.match_edge_labels = match_edge_labels;
+        std::vector<Embedding> expected =
+            BruteForceEmbeddings(pattern, target, options);
+        std::vector<Embedding> found =
+            FindEmbeddings(pattern, target, 0, options);
+        std::sort(expected.begin(), expected.end());
+        std::sort(found.begin(), found.end());
+        EXPECT_EQ(found, expected)
+            << "seed " << seed << " induced=" << induced
+            << " edge_labels=" << match_edge_labels;
+        EXPECT_EQ(ContainsSubgraph(pattern, target, options),
+                  !expected.empty())
+            << "seed " << seed << " induced=" << induced
+            << " edge_labels=" << match_edge_labels;
+        if (!expected.empty()) ++with_embeddings;
+      }
+    }
+  }
+  // The oracle must exercise both verdicts, not only "absent".
+  EXPECT_GT(with_embeddings, 300u);
+  EXPECT_LT(with_embeddings, 1200u);
 }
 
 TEST(AreIsomorphicTest, RingsOfEqualSize) {

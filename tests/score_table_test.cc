@@ -18,6 +18,7 @@
 #include "src/data/molecule_generator.h"
 #include "src/graph/algorithms.h"
 #include "src/iso/vf2.h"
+#include "tests/reference_vf2.h"
 
 namespace catapult {
 namespace {
@@ -81,6 +82,30 @@ Graph Permuted(const Graph& g, Rng& rng) {
     out.AddEdge(new_id[e.u], new_id[e.v], e.label);
   }
   return out;
+}
+
+// Which CSG summaries contain `pattern`, by the reference search over the
+// plain-graph summaries: the coverage loop CoveredCsgsFlat replaced. Empty
+// summaries stay uncovered, a zero budget selects
+// kDefaultCoverageIsoBudget, and each budget-truncated test counts as "not
+// contained" and increments `budget_exhausted` (optional).
+std::vector<bool> ReferenceCoveredCsgs(
+    const Graph& pattern, const std::vector<Graph>& csg_summaries,
+    uint64_t iso_node_budget = kDefaultCoverageIsoBudget,
+    uint64_t* budget_exhausted = nullptr) {
+  std::vector<bool> covered(csg_summaries.size(), false);
+  IsoOptions options;
+  options.node_budget =
+      iso_node_budget == 0 ? kDefaultCoverageIsoBudget : iso_node_budget;
+  for (size_t i = 0; i < csg_summaries.size(); ++i) {
+    if (csg_summaries[i].NumVertices() == 0) continue;
+    bool exhausted = false;
+    options.budget_exhausted = &exhausted;
+    covered[i] =
+        reference::ContainsSubgraph(pattern, csg_summaries[i], options);
+    if (exhausted && budget_exhausted != nullptr) ++*budget_exhausted;
+  }
+  return covered;
 }
 
 TEST(ScoreTableTest, ResetDimensionsAndZeroes) {
@@ -188,7 +213,7 @@ TEST(CoveredCsgsFlatTest, MatchesReferenceCoverage) {
     for (uint64_t budget : {uint64_t{0}, uint64_t{50}, uint64_t{100000}}) {
       uint64_t ref_exhausted = 0;
       std::vector<bool> reference =
-          CoveredCsgs(pattern, summaries, budget, &ref_exhausted);
+          ReferenceCoveredCsgs(pattern, summaries, budget, &ref_exhausted);
       uint64_t flat_exhausted = 0;
       std::vector<uint64_t> words(CoverageWords(index.size()), 0);
       CoveredCsgsFlat(pattern, index, budget, &flat_exhausted, words.data());
@@ -302,7 +327,7 @@ TEST(SelectorReplayTest, RecordedDiagnosticsReplay) {
     EXPECT_EQ(p.div, expected_div);
     // Coverage: the recorded ccov must equal a fresh coverage test summed
     // against the weights as decayed by the preceding selections.
-    std::vector<bool> covered = CoveredCsgs(p.graph, summaries);
+    std::vector<bool> covered = ReferenceCoveredCsgs(p.graph, summaries);
     double expected_ccov = 0.0;
     for (size_t c = 0; c < covered.size(); ++c) {
       if (covered[c]) expected_ccov += cw.Get(c);
