@@ -140,6 +140,27 @@ void BM_GedExact(benchmark::State& state) {
 }
 BENCHMARK(BM_GedExact);
 
+// The same pairs with the cutoff a diversity fold passes when the pair
+// cannot lower its running minimum: the exact distance itself, so the
+// search only has to prove that nothing cheaper exists.
+void BM_GedExactCutoff(benchmark::State& state) {
+  const auto& patterns = SharedPatterns();
+  const size_t n = patterns.size();
+  std::vector<double> distances(n);
+  for (size_t k = 0; k < n; ++k) {
+    distances[k] =
+        GraphEditDistance(patterns[k], patterns[(k + 3) % n]).distance;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t k = i % n;
+    benchmark::DoNotOptimize(GraphEditDistance(
+        patterns[k], patterns[(k + 3) % n], GedOptions{}, distances[k]));
+    ++i;
+  }
+}
+BENCHMARK(BM_GedExactCutoff);
+
 void BM_GedLowerBound(benchmark::State& state) {
   const auto& patterns = SharedPatterns();
   size_t i = 0;

@@ -23,20 +23,19 @@
 
 namespace catapult::cli {
 
-// Minimal flag parser: --name value pairs after the first `first` argv
-// entries, plus boolean flags (a --name followed by another --flag or by
-// nothing) recorded as "true".
+// Minimal flag parser over the argv entries after the first `first`, read
+// left to right: a --name followed by a token that does not start with "--"
+// takes that token as its value; any other --name (followed by another
+// --flag or by nothing) is a boolean flag recorded as "true".
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_.emplace_back(argv[i] + 2, argv[i + 1]);
-      }
-    }
     for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0 &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
+      if (std::strncmp(argv[i], "--", 2) != 0) continue;
+      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        values_.emplace_back(argv[i] + 2, argv[i + 1]);
+        ++i;
+      } else {
         values_.emplace_back(argv[i] + 2, "true");
       }
     }

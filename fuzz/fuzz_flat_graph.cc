@@ -7,7 +7,11 @@
 // HasEdge/EdgeLabel on every vertex pair, label-domain bitsets matching a
 // direct label count, and the flat VF2 kernel agreeing with the reference
 // search of tests/reference_vf2.h on self-containment, verdict and node
-// count alike. Any divergence traps.
+// count alike. Consecutive graph pairs also differential-test the exact GED
+// kernel: against the reference search of tests/reference_ged.h on
+// distance, exact flag and node count, against the brute force when both
+// graphs have at most 6 vertices, and on the cutoff contract. Any
+// divergence traps.
 //
 // Build: -DCATAPULT_FUZZ=ON with clang (links -fsanitize=fuzzer,address).
 // Under gcc the same file builds as a standalone regression driver that
@@ -22,7 +26,9 @@
 #include "src/graph/flat_graph.h"
 #include "src/graph/io.h"
 #include "src/iso/flat_vf2.h"
+#include "src/iso/ged.h"
 #include "src/obs/metrics.h"
+#include "tests/reference_ged.h"
 #include "tests/reference_vf2.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -112,6 +118,36 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         __builtin_trap();
       }
     }
+  }
+  // GED of each graph against the next one (the last against the first).
+  // A small node budget keeps large inputs cheap and exercises truncation.
+  catapult::GedOptions ged;
+  ged.node_budget = 2000;
+  for (size_t id = 0; id < db->size(); ++id) {
+    const catapult::Graph& a = db->graph(static_cast<catapult::GraphId>(id));
+    const catapult::Graph& b =
+        db->graph(static_cast<catapult::GraphId>((id + 1) % db->size()));
+    if (a.NumVertices() > 16 || b.NumVertices() > 16) continue;
+    catapult::GedResult flat = catapult::GraphEditDistance(a, b, ged);
+    catapult::GedResult reference =
+        catapult::reference::GraphEditDistance(a, b, ged);
+    if (flat.distance != reference.distance) __builtin_trap();
+    if (flat.exact != reference.exact) __builtin_trap();
+    if (flat.nodes != reference.nodes) __builtin_trap();
+    if (flat.distance < catapult::GedLowerBound(a, b)) __builtin_trap();
+    if (!flat.exact) continue;
+    if (a.NumVertices() <= 6 && b.NumVertices() <= 6 &&
+        flat.distance != catapult::reference::BruteForceGed(a, b)) {
+      __builtin_trap();
+    }
+    // An exact search below its cutoff returns the distance; at or above
+    // it, some value no smaller than the cutoff.
+    const double d = flat.distance;
+    if (catapult::GraphEditDistance(a, b, ged, d + 1).distance != d) {
+      __builtin_trap();
+    }
+    catapult::GedResult at_cutoff = catapult::GraphEditDistance(a, b, ged, d);
+    if (at_cutoff.exact && at_cutoff.distance < d) __builtin_trap();
   }
   return 0;
 }

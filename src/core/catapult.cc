@@ -530,6 +530,7 @@ void SelectPhase(const GraphDatabase& db, const PreparedCorpus& corpus,
   exec.selection_complete = result.selection.complete;
   exec.fallback_patterns = result.selection.fallback_patterns;
   exec.iso_budget_exhausted = result.selection.iso_budget_exhausted;
+  exec.ged_truncated = result.selection.ged_truncated;
 
   exec.mem_peak_bytes = memory.peak();
   exec.mem_soft_exceeded =

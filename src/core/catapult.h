@@ -193,6 +193,7 @@ struct ExecutionReport {
   size_t degraded_csgs = 0;             // summaries folded from fewer members
   size_t fallback_patterns = 0;         // frequent-edge fallback selections
   uint64_t iso_budget_exhausted = 0;    // truncated VF2 coverage checks
+  uint64_t ged_truncated = 0;           // truncated diversity GED searches
 
   // Checkpoint/recovery diagnostics (empty without a checkpoint_dir).
   // `resumed_from` is the furthest phase restored from a checkpoint

@@ -27,36 +27,15 @@ double PatternSetDiversity(const Graph& pattern,
                            const GedOptions& ged_options,
                            double empty_set_value) {
   if (selected.empty()) return empty_set_value;
-
-  // Order canned patterns by increasing GED lower bound (Definition 5.1),
-  // then iterate: compute exact GED, keep the minimum, and stop as soon as
-  // the next lower bound cannot beat it (Section 5's pruning procedure).
-  struct Entry {
-    double lower;
-    const Graph* graph;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(selected.size());
-  for (const Graph& q : selected) {
-    entries.push_back({GedLowerBound(pattern, q), &q});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.lower < b.lower; });
-
-  double best = std::numeric_limits<double>::max();
-  for (const Entry& entry : entries) {
-    if (entry.lower >= best) break;  // No later entry can improve either.
-    double distance = GraphEditDistance(pattern, *entry.graph, ged_options)
-                          .distance;
-    best = std::min(best, distance);
-    if (best == 0.0) break;
-  }
-  return best;
+  return FoldDiversity(pattern, selected, 0,
+                       std::numeric_limits<double>::infinity(), ged_options,
+                       /*approximate=*/false);
 }
 
 double FoldDiversity(const Graph& pattern, const std::vector<Graph>& selected,
                      size_t from, double running_min,
-                     const GedOptions& ged_options, bool approximate) {
+                     const GedOptions& ged_options, bool approximate,
+                     uint64_t* ged_truncated) {
   for (size_t i = from; i < selected.size(); ++i) {
     double lower = GedLowerBound(pattern, selected[i]);
     if (lower >= running_min) {
@@ -64,11 +43,17 @@ double FoldDiversity(const Graph& pattern, const std::vector<Graph>& selected,
       continue;  // value >= lower >= running_min: cannot improve
     }
     obs::Count(obs::Counter::kSelectorDivFolds);
-    double distance =
-        approximate
-            ? BipartiteGed(pattern, selected[i])
-            : GraphEditDistance(pattern, selected[i], ged_options).distance;
-    running_min = std::min(running_min, distance);
+    if (approximate) {
+      running_min = std::min(running_min, BipartiteGed(pattern, selected[i]));
+      continue;
+    }
+    // Only a distance below running_min can change the fold, so the search
+    // stops at it: an exact search at or above the cutoff returns a value
+    // >= running_min, which leaves the minimum where it is.
+    GedResult ged =
+        GraphEditDistance(pattern, selected[i], ged_options, running_min);
+    if (!ged.exact && ged_truncated != nullptr) ++*ged_truncated;
+    running_min = std::min(running_min, ged.distance);
   }
   return running_min;
 }
@@ -77,24 +62,9 @@ double PatternSetDiversityApprox(const Graph& pattern,
                                  const std::vector<Graph>& selected,
                                  double empty_set_value) {
   if (selected.empty()) return empty_set_value;
-  struct Entry {
-    double lower;
-    const Graph* graph;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(selected.size());
-  for (const Graph& q : selected) {
-    entries.push_back({GedLowerBound(pattern, q), &q});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.lower < b.lower; });
-  double best = std::numeric_limits<double>::max();
-  for (const Entry& entry : entries) {
-    if (entry.lower >= best) break;
-    best = std::min(best, BipartiteGed(pattern, *entry.graph));
-    if (best == 0.0) break;
-  }
-  return best;
+  return FoldDiversity(pattern, selected, 0,
+                       std::numeric_limits<double>::infinity(), GedOptions{},
+                       /*approximate=*/true);
 }
 
 }  // namespace catapult

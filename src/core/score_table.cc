@@ -66,6 +66,7 @@ void ScoreTable::Reset(size_t candidates, size_t num_csgs) {
   source_csg.assign(candidates, 0);
   cache_slot.assign(candidates, -1);
   iso_exhausted.assign(candidates, 0);
+  ged_truncated.assign(candidates, 0);
   valid.assign(candidates, 0);
   fresh.assign(candidates, 0);
   coverage_.assign(candidates * coverage_words_, 0);

@@ -86,7 +86,8 @@ class ScoreTable {
   // Class-cache coordinates of the row's isomorphism class: bucket slot
   // index, or -1 when the class was not cached (fresh row).
   std::vector<int32_t> cache_slot;
-  std::vector<uint64_t> iso_exhausted;
+  // Coverage VF2 tests and diversity GED searches cut short by a budget.
+  std::vector<uint64_t> iso_exhausted, ged_truncated;
   std::vector<uint8_t> valid, fresh;
 
  private:

@@ -319,6 +319,13 @@ SelectionResult FindCannedPatternSet(
       uint64_t* row = table.CoverageRow(i);
       int slot = ro_cache.Probe(fp, g);
       table.cache_slot[i] = slot;
+      // Diversity folds the panel from scratch, unless a cached class can
+      // resume its memo: then only the patterns selected since the class
+      // was last scored are folded, and the running minimum over the full
+      // panel is identical to the from-scratch fold (see FoldDiversity).
+      const Graph* div_graph = &g;
+      size_t div_from = 0;
+      double div_start = std::numeric_limits<double>::max();
       if (slot >= 0) {
         obs::Count(obs::Counter::kSelectorCacheHits);
         const SelectorClassCache::Entry& entry = ro_cache.At(fp, slot);
@@ -328,15 +335,9 @@ SelectionResult FindCannedPatternSet(
         table.lcov[i] = entry.lcov;
         table.cog[i] = entry.cog;
         if (div_memo_ok) {
-          // Fold only the patterns selected since this class was last
-          // scored; the running minimum over the full panel is identical to
-          // the from-scratch pruned computation (see FoldDiversity).
-          double running = FoldDiversity(entry.rep, selected_graphs,
-                                         entry.div_folded, entry.div_min, ged,
-                                         options.approximate_diversity);
-          table.div_min[i] = running;
-          table.div_folded[i] = static_cast<uint32_t>(selected_graphs.size());
-          table.div[i] = selected_graphs.empty() ? 1.0 : running;
+          div_graph = &entry.rep;
+          div_from = entry.div_folded;
+          div_start = entry.div_min;
         }
       } else {
         obs::Count(obs::Counter::kSelectorCacheMisses);
@@ -349,19 +350,15 @@ SelectionResult FindCannedPatternSet(
         table.fresh[i] = 1;
         table.lcov[i] = label_index.PatternLabelCoverage(g);
         table.cog[i] = CognitiveLoad(g);
-        if (div_memo_ok) {
-          double running = FoldDiversity(
-              g, selected_graphs, 0, std::numeric_limits<double>::max(), ged,
-              options.approximate_diversity);
-          table.div_min[i] = running;
-          table.div_folded[i] = static_cast<uint32_t>(selected_graphs.size());
-          table.div[i] = selected_graphs.empty() ? 1.0 : running;
-        }
       }
-      if (!div_memo_ok) {
-        table.div[i] = options.approximate_diversity
-                           ? PatternSetDiversityApprox(g, selected_graphs)
-                           : PatternSetDiversity(g, selected_graphs, ged);
+      double running = FoldDiversity(*div_graph, selected_graphs, div_from,
+                                     div_start, ged,
+                                     options.approximate_diversity,
+                                     &table.ged_truncated[i]);
+      table.div[i] = selected_graphs.empty() ? 1.0 : running;
+      if (div_memo_ok) {
+        table.div_min[i] = running;
+        table.div_folded[i] = static_cast<uint32_t>(selected_graphs.size());
       }
       // ccov rescored against the current decayed weights, summing in
       // ascending cluster order (the same fold order as the scalar loop).
@@ -391,6 +388,7 @@ SelectionResult FindCannedPatternSet(
     int best_index = -1;
     for (size_t i = 0; i < table.size(); ++i) {
       result.iso_budget_exhausted += table.iso_exhausted[i];
+      result.ged_truncated += table.ged_truncated[i];
       if (!table.valid[i]) continue;
       if (table.fresh[i]) {
         SelectorClassCache::Entry entry;

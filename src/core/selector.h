@@ -73,10 +73,13 @@ struct SelectionResult {
   // budget; `fallback_patterns` counts patterns filled in from frequent
   // edges afterwards; `iso_budget_exhausted` counts coverage subgraph-
   // isomorphism tests truncated by their node budget (each counted test
-  // conservatively reported "not contained").
+  // conservatively reported "not contained"); `ged_truncated` counts
+  // diversity GED searches truncated by their node budget (each counted
+  // distance is an upper bound, not the exact GED).
   bool complete = true;
   size_t fallback_patterns = 0;
   uint64_t iso_budget_exhausted = 0;
+  uint64_t ged_truncated = 0;
 
   // Convenience view of just the pattern graphs.
   std::vector<Graph> PatternGraphs() const;

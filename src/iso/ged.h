@@ -2,6 +2,7 @@
 #define CATAPULT_ISO_GED_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "src/graph/graph.h"
 
@@ -18,10 +19,12 @@ struct GedOptions {
   uint64_t node_budget = 500000;
 };
 
-// Result of a GED computation.
+// Result of a GED computation. `nodes` counts the branch-and-bound nodes
+// expanded, a machine-independent measure of the work done.
 struct GedResult {
   double distance = 0.0;
   bool exact = true;
+  uint64_t nodes = 0;
 };
 
 // Lower bound on GED(a, b) per Definition 5.1 of the paper:
@@ -36,8 +39,20 @@ double GedLowerBound(const Graph& a, const Graph& b);
 // assignments, seeded with a greedy upper bound and pruned with label-based
 // lower bounds. Exponential in the worst case; intended for canned-pattern
 // sized graphs (<= ~13 vertices), with anytime fallback under `node_budget`.
-GedResult GraphEditDistance(const Graph& a, const Graph& b,
-                            GedOptions options = {});
+//
+// `cutoff` is the distance the caller needs to beat (a running minimum): the
+// search starts with min(greedy bound, cutoff) as its best cost, so it never
+// explores a branch that cannot end below the cutoff. An exact search
+// returns the distance d when d < cutoff, and otherwise some value >= cutoff
+// (the greedy upper bound, hence also >= GedLowerBound). A truncated search
+// returns an upper bound on d, as without a cutoff. The default (+inf)
+// computes d itself.
+//
+// Each call adds one batch to the ged.calls / ged.nodes / ged.truncated
+// counters and the ged.nodes_per_call histogram (src/obs/metrics.h).
+GedResult GraphEditDistance(
+    const Graph& a, const Graph& b, GedOptions options = {},
+    double cutoff = std::numeric_limits<double>::infinity());
 
 }  // namespace catapult
 

@@ -76,6 +76,9 @@ constexpr const char* kCounterNames[] = {
     "obs.spans_dropped",
     "serve.slow_requests",
     "serve.reqlog_dropped",
+    "ged.calls",
+    "ged.nodes",
+    "ged.truncated",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) == kNumCounters,
               "counter name table out of sync with the Counter enum");
@@ -99,6 +102,7 @@ constexpr const char* kHistNames[] = {
     "serve.request_millis",
     "dist.reconnect_millis",
     "serve.queue_wait_millis",
+    "ged.nodes_per_call",
 };
 static_assert(sizeof(kHistNames) / sizeof(kHistNames[0]) == kNumHists,
               "histogram name table out of sync with the Hist enum");

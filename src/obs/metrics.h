@@ -3,7 +3,7 @@
 
 // Process-wide metrics registry: monotonic counters, high-watermark gauges
 // and fixed-bucket log2 histograms covering the pipeline's hot primitives
-// (VF2, bipartite GED, random walks, k-means, CSG folds, the selector
+// (VF2, exact and bipartite GED, random walks, k-means, CSG folds, the selector
 // coverage cache, checkpoint I/O, the memory budget and failpoints).
 //
 // Design constraints (DESIGN.md §11):
@@ -102,6 +102,9 @@ enum class Counter : uint32_t {
   kObsSpansDropped,        // shipped spans discarded (trace mismatch/no tracer)
   kServeSlowRequests,      // requests whose run time crossed --slow-request-ms
   kServeReqlogDropped,     // request-log events dropped by the bounded queue
+  kGedCalls,               // exact GED branch-and-bound searches started
+  kGedNodes,               // GED search-tree nodes expanded across searches
+  kGedTruncated,           // GED searches cut short by their node budget
   kCount
 };
 
@@ -127,6 +130,7 @@ enum class Hist : uint32_t {
   kServeRequestMillis,   // admission-to-response latency per served request
   kDistReconnectMillis,  // death-to-rejoin latency per worker reconnect
   kServeQueueWaitMillis,  // admission-to-worker-pickup wait per served request
+  kGedNodesPerCall,      // search-tree nodes expanded per exact GED search
   kCount
 };
 
