@@ -272,14 +272,15 @@ int CmdMine(const Flags& flags) {
     std::printf(
         "degradation: clustering=%s csg=%s selection=%s "
         "coarse-only=%d degraded-csgs=%zu fallback-patterns=%zu "
-        "iso-budget-exhausted=%llu ged-truncated=%llu\n",
+        "iso-budget-exhausted=%llu ged-truncated=%llu mcs-truncated=%llu\n",
         exec.clustering_complete ? "complete" : "partial",
         exec.csg_complete ? "complete" : "partial",
         exec.selection_complete ? "complete" : "partial",
         exec.clustering_coarse_only ? 1 : 0, exec.degraded_csgs,
         exec.fallback_patterns,
         static_cast<unsigned long long>(exec.iso_budget_exhausted),
-        static_cast<unsigned long long>(exec.ged_truncated));
+        static_cast<unsigned long long>(exec.ged_truncated),
+        static_cast<unsigned long long>(exec.mcs_truncated));
   }
   if (exec.Resumed()) {
     std::printf("resumed from checkpoint phase: %s\n",

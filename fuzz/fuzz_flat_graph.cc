@@ -10,8 +10,12 @@
 // count alike. Consecutive graph pairs also differential-test the exact GED
 // kernel: against the reference search of tests/reference_ged.h on
 // distance, exact flag and node count, against the brute force when both
-// graphs have at most 6 vertices, and on the cutoff contract. Any
-// divergence traps.
+// graphs have at most 6 vertices, and on the cutoff contract. The same
+// pairs differential-test the MCS kernel in both variants and both
+// edge-label modes: against the reference search of tests/reference_mcs.h
+// on mapping, sizes, exact flag and node count, against the brute force
+// when both graphs have at most 6 vertices and the search is exact, and on
+// the mapping realising the reported common edges. Any divergence traps.
 //
 // Build: -DCATAPULT_FUZZ=ON with clang (links -fsanitize=fuzzer,address).
 // Under gcc the same file builds as a standalone regression driver that
@@ -27,8 +31,10 @@
 #include "src/graph/io.h"
 #include "src/iso/flat_vf2.h"
 #include "src/iso/ged.h"
+#include "src/iso/mcs.h"
 #include "src/obs/metrics.h"
 #include "tests/reference_ged.h"
+#include "tests/reference_mcs.h"
 #include "tests/reference_vf2.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -148,6 +154,48 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
     catapult::GedResult at_cutoff = catapult::GraphEditDistance(a, b, ged, d);
     if (at_cutoff.exact && at_cutoff.distance < d) __builtin_trap();
+  }
+  // MCS of the same pairs, under a budget small enough to truncate, and
+  // unbounded when both graphs are small.
+  for (size_t id = 0; id < db->size(); ++id) {
+    const catapult::Graph& a = db->graph(static_cast<catapult::GraphId>(id));
+    const catapult::Graph& b =
+        db->graph(static_cast<catapult::GraphId>((id + 1) % db->size()));
+    if (a.NumVertices() > 16 || b.NumVertices() > 16) continue;
+    const bool small = a.NumVertices() <= 6 && b.NumVertices() <= 6;
+    for (uint64_t budget : {uint64_t{2000}, uint64_t{0}}) {
+      if (budget == 0 && !small) continue;
+      for (bool connected : {true, false}) {
+        for (bool match : {false, true}) {
+          catapult::McsOptions mcs;
+          mcs.connected = connected;
+          mcs.match_edge_labels = match;
+          mcs.node_budget = budget;
+          catapult::McsResult flat = catapult::MaxCommonSubgraph(a, b, mcs);
+          catapult::McsResult reference =
+              catapult::reference::MaxCommonSubgraph(a, b, mcs);
+          if (flat.mapping != reference.mapping) __builtin_trap();
+          if (flat.common_edges != reference.common_edges) __builtin_trap();
+          if (flat.common_vertices != reference.common_vertices) {
+            __builtin_trap();
+          }
+          if (flat.exact != reference.exact) __builtin_trap();
+          if (flat.nodes != reference.nodes) __builtin_trap();
+          bool common_connected = true;
+          if (catapult::reference::CommonEdges(a, b, flat.mapping, match,
+                                               &common_connected) !=
+              flat.common_edges) {
+            __builtin_trap();
+          }
+          if (connected && !common_connected) __builtin_trap();
+          if (flat.exact && small &&
+              flat.common_edges !=
+                  catapult::reference::BruteForceMcs(a, b, mcs)) {
+            __builtin_trap();
+          }
+        }
+      }
+    }
   }
   return 0;
 }

@@ -19,7 +19,7 @@ std::vector<std::vector<GraphId>> FineCluster(
 std::vector<std::vector<GraphId>> FineCluster(
     const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
     const FineClusteringOptions& options, Rng& rng, const RunContext& ctx,
-    bool* complete) {
+    bool* complete, uint64_t* mcs_truncated) {
   CATAPULT_CHECK(options.max_cluster_size >= 2);
   if (complete != nullptr) *complete = true;
   std::vector<std::vector<GraphId>> done;
@@ -70,6 +70,7 @@ std::vector<std::vector<GraphId>> FineCluster(
     // writes only its own parts slot; parts are emitted in the same order
     // the sequential code appended them.
     std::vector<std::vector<std::vector<GraphId>>> parts(tasked);
+    std::vector<uint64_t> truncated(tasked, 0);
     ParallelFor(ctx, tasked, 1, [&](size_t c) {
       const std::vector<GraphId>& cluster = round[c];
 
@@ -82,13 +83,19 @@ std::vector<std::vector<GraphId>> FineCluster(
       // Seed1: random member (pre-drawn). Seed2: member least similar to
       // Seed1.
       GraphId seed1 = cluster[seed1_pos[c]];
+      auto mcs_similarity = [&](GraphId g, GraphId seed) {
+        bool exact = true;
+        const double sim =
+            McsSimilarity(db.graph(g), db.graph(seed), mcs, &exact);
+        if (!exact) ++truncated[c];
+        return sim;
+      };
       std::vector<double> similarity(cluster.size(), 0.0);
       double min_sim = 2.0;
       size_t seed2_pos = seed1_pos[c];
       for (size_t i = 0; i < cluster.size(); ++i) {
         if (i == seed1_pos[c]) continue;
-        similarity[i] =
-            McsSimilarity(db.graph(cluster[i]), db.graph(seed1), mcs);
+        similarity[i] = mcs_similarity(cluster[i], seed1);
         if (similarity[i] < min_sim) {
           min_sim = similarity[i];
           seed2_pos = i;
@@ -100,8 +107,7 @@ std::vector<std::vector<GraphId>> FineCluster(
       std::vector<GraphId> second = {seed2};
       for (size_t i = 0; i < cluster.size(); ++i) {
         if (i == seed1_pos[c] || i == seed2_pos) continue;
-        double to_seed2 =
-            McsSimilarity(db.graph(cluster[i]), db.graph(seed2), mcs);
+        double to_seed2 = mcs_similarity(cluster[i], seed2);
         if (similarity[i] > to_seed2) {
           first.push_back(cluster[i]);
         } else {
@@ -127,6 +133,9 @@ std::vector<std::vector<GraphId>> FineCluster(
       }
     });
 
+    if (mcs_truncated != nullptr) {
+      for (uint64_t t : truncated) *mcs_truncated += t;
+    }
     // Route the parts in task order: still-oversized parts go back on the
     // queue for the next round (or, once stopped, out unsplit — matching
     // the sequential dump of the whole queue at the stop poll).
@@ -161,7 +170,7 @@ std::vector<RngState> SplitFineStreams(Rng& rng, size_t count) {
 std::vector<std::vector<GraphId>> FineClusterOne(
     const GraphDatabase& db, std::vector<GraphId> cluster,
     const FineClusteringOptions& options, const RngState& stream,
-    const RunContext& ctx, bool* complete) {
+    const RunContext& ctx, bool* complete, uint64_t* mcs_truncated) {
   Rng child(0);
   child.RestoreState(stream);
   std::vector<std::vector<GraphId>> one;
@@ -169,13 +178,13 @@ std::vector<std::vector<GraphId>> FineClusterOne(
   // Inline (pool-less) context: FineClusterOne is itself the unit callers
   // parallelise over, so its internal rounds must not re-enter the pool.
   return FineCluster(db, std::move(one), options, child,
-                     ctx.WithPool(nullptr), complete);
+                     ctx.WithPool(nullptr), complete, mcs_truncated);
 }
 
 std::vector<std::vector<GraphId>> FineClusterPerCluster(
     const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
     const FineClusteringOptions& options, Rng& rng, const RunContext& ctx,
-    bool* complete) {
+    bool* complete, uint64_t* mcs_truncated) {
   if (complete != nullptr) *complete = true;
   // One stream per input cluster, small ones included: the draw count must
   // be a function of the coarse partition alone (not of which clusters turn
@@ -184,16 +193,18 @@ std::vector<std::vector<GraphId>> FineClusterPerCluster(
   std::vector<RngState> streams = SplitFineStreams(rng, clusters.size());
   std::vector<std::vector<std::vector<GraphId>>> parts(clusters.size());
   std::vector<uint8_t> part_complete(clusters.size(), 1);
+  std::vector<uint64_t> part_truncated(clusters.size(), 0);
   ParallelFor(ctx, clusters.size(), 1, [&](size_t c) {
     if (clusters[c].empty()) return;
     bool ok = true;
     parts[c] = FineClusterOne(db, std::move(clusters[c]), options, streams[c],
-                              ctx, &ok);
+                              ctx, &ok, &part_truncated[c]);
     part_complete[c] = ok ? 1 : 0;
   });
   std::vector<std::vector<GraphId>> done;
   for (size_t c = 0; c < parts.size(); ++c) {
     if (part_complete[c] == 0 && complete != nullptr) *complete = false;
+    if (mcs_truncated != nullptr) *mcs_truncated += part_truncated[c];
     for (auto& part : parts[c]) done.push_back(std::move(part));
   }
   return done;

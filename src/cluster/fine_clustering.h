@@ -1,6 +1,7 @@
 #ifndef CATAPULT_CLUSTER_FINE_CLUSTERING_H_
 #define CATAPULT_CLUSTER_FINE_CLUSTERING_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/graph/graph_database.h"
@@ -37,11 +38,12 @@ std::vector<std::vector<GraphId>> FineCluster(
 // remaining time. On expiry the still-oversized clusters are returned
 // unsplit (graceful degradation to the coarse partition) and `complete`
 // (optional) is set to false. The result is always a partition of the input
-// ids.
+// ids. `mcs_truncated` (optional) is incremented once per MCS search cut
+// short by its node budget.
 std::vector<std::vector<GraphId>> FineCluster(
     const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
     const FineClusteringOptions& options, Rng& rng, const RunContext& ctx,
-    bool* complete = nullptr);
+    bool* complete = nullptr, uint64_t* mcs_truncated = nullptr);
 
 // --- Per-cluster decomposition ---------------------------------------------
 //
@@ -62,21 +64,24 @@ std::vector<RngState> SplitFineStreams(Rng& rng, size_t count);
 // Fine clustering of one coarse cluster under its pre-split stream. Returns
 // a partition of `cluster` (clusters at or below max_cluster_size where the
 // deadline allowed). `complete` reports whether every oversized part was
-// split. Runs inline — no pool use — so callers may invoke it from inside
-// their own parallel regions.
+// split; `mcs_truncated` counts truncated MCS searches as in FineCluster.
+// Runs inline — no pool use — so callers may invoke it from inside their
+// own parallel regions.
 std::vector<std::vector<GraphId>> FineClusterOne(
     const GraphDatabase& db, std::vector<GraphId> cluster,
     const FineClusteringOptions& options, const RngState& stream,
-    const RunContext& ctx, bool* complete = nullptr);
+    const RunContext& ctx, bool* complete = nullptr,
+    uint64_t* mcs_truncated = nullptr);
 
 // Per-cluster fine clustering of a whole coarse partition: pre-splits the
 // streams, runs FineClusterOne per cluster on the context's pool, and
 // concatenates the results in cluster order (empty input clusters are
-// dropped). `complete` is the conjunction of the per-cluster flags.
+// dropped). `complete` is the conjunction of the per-cluster flags and
+// `mcs_truncated` is incremented by the sum of the per-cluster counts.
 std::vector<std::vector<GraphId>> FineClusterPerCluster(
     const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
     const FineClusteringOptions& options, Rng& rng, const RunContext& ctx,
-    bool* complete = nullptr);
+    bool* complete = nullptr, uint64_t* mcs_truncated = nullptr);
 
 }  // namespace catapult
 

@@ -131,7 +131,7 @@ void FineClusteringStage(const GraphDatabase& db,
   fine.mcs = options.fine_mcs;
   result->clusters =
       FineClusterPerCluster(db, std::move(result->clusters), fine, rng, ctx,
-                            &result->fine_complete);
+                            &result->fine_complete, &result->mcs_truncated);
   result->fine_seconds = fine_timer.ElapsedSeconds();
 }
 

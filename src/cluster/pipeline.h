@@ -63,6 +63,8 @@ struct ClusteringResult {
   bool mining_complete = true;
   bool coarse_complete = true;
   bool fine_complete = true;
+  // MCS searches of the fine stage cut short by their node budget.
+  uint64_t mcs_truncated = 0;
   bool Complete() const {
     return mining_complete && coarse_complete && fine_complete;
   }

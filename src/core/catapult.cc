@@ -376,6 +376,7 @@ void PreparePhases(const GraphDatabase& db, const CatapultOptions& options,
                                               rng, dist_ctx, &exec.dist);
       clustering.clusters = std::move(sharded->fine_clusters);
       if (!sharded->fine_complete) clustering.fine_complete = false;
+      clustering.mcs_truncated = sharded->mcs_truncated;
     } else if (fine_enabled) {
       FineClusteringStage(db, options.clustering, &clustering, rng,
                           clustering_ctx);
@@ -384,6 +385,7 @@ void PreparePhases(const GraphDatabase& db, const CatapultOptions& options,
     corpus.features = std::move(clustering.features);
     corpus.clustering_complete = clustering.Complete();
     corpus.clustering_coarse_only = !clustering.fine_complete;
+    corpus.mcs_truncated = clustering.mcs_truncated;
     CheckpointPhase(
         "clustering", corpus.clustering_complete,
         [&] {
@@ -467,6 +469,7 @@ void SelectPhase(const GraphDatabase& db, const PreparedCorpus& corpus,
   exec.csg_complete = corpus.csg_complete;
   exec.clustering_coarse_only = corpus.clustering_coarse_only;
   exec.degraded_csgs = corpus.degraded_csgs;
+  exec.mcs_truncated = corpus.mcs_truncated;
   exec.clustering_parallel = corpus.clustering_parallel;
   exec.csg_parallel = corpus.csg_parallel;
   result.clustering_seconds = corpus.clustering_seconds;

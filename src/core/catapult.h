@@ -194,6 +194,7 @@ struct ExecutionReport {
   size_t fallback_patterns = 0;         // frequent-edge fallback selections
   uint64_t iso_budget_exhausted = 0;    // truncated VF2 coverage checks
   uint64_t ged_truncated = 0;           // truncated diversity GED searches
+  uint64_t mcs_truncated = 0;           // truncated fine-clustering MCS calls
 
   // Checkpoint/recovery diagnostics (empty without a checkpoint_dir).
   // `resumed_from` is the furthest phase restored from a checkpoint
@@ -310,6 +311,7 @@ struct PreparedCorpus {
   bool csg_complete = true;
   bool clustering_coarse_only = false;
   size_t degraded_csgs = 0;
+  uint64_t mcs_truncated = 0;
   PhaseParallelStats clustering_parallel;
   PhaseParallelStats csg_parallel;
   double clustering_seconds = 0.0;

@@ -5,7 +5,7 @@
 #include <map>
 
 #include "src/graph/algorithms.h"
-#include "src/iso/vf2.h"
+#include "src/iso/flat_vf2.h"
 
 namespace catapult {
 
@@ -36,13 +36,16 @@ std::vector<Graph> GenerateQueryMix(const GraphDatabase& db,
   CATAPULT_CHECK(!db.empty());
   Rng rng(options.seed);
 
-  // Verification sample for support checks.
+  // Verification sample for support checks, flattened once.
   std::vector<size_t> sample_indices =
       rng.SampleIndices(db.size(), options.verification_sample);
+  const FlatTargets sample = FlatTargets::Build(
+      db, std::vector<GraphId>(sample_indices.begin(), sample_indices.end()));
   auto SampleSupport = [&](const Graph& q) {
+    const FlatGraph flat = FlatGraph::Build(q);
     size_t hits = 0;
-    for (size_t i : sample_indices) {
-      if (ContainsSubgraph(q, db.graph(static_cast<GraphId>(i)))) ++hits;
+    for (size_t k = 0; k < sample.size(); ++k) {
+      if (sample.Contains(flat.View(), k)) ++hits;
     }
     return static_cast<double>(hits) /
            static_cast<double>(sample_indices.size());

@@ -245,6 +245,10 @@ FleetOutcome RunFleet(
         obs::Count(static_cast<obs::Counter>(i), done.counters[i]);
       }
     }
+    const size_t slot = static_cast<size_t>(obs::Counter::kMcsTruncated);
+    if (slot < done.counters.size()) {
+      outcome.mcs_truncated += done.counters[slot];
+    }
     // Span shipment: accept the buffer only when the trace-id echo matches
     // the run and no earlier completion already filled this shard's slot —
     // a duplicate or stale-trace buffer is counted and dropped, never

@@ -33,6 +33,9 @@ struct FleetOutcome {
   bool fleet_lost = false;
   // Clusters completed from members' results.
   size_t member_clusters = 0;
+  // Sum of the mcs.truncated deltas of the members' accepted ShardDone
+  // frames: the truncated MCS searches run outside this process.
+  uint64_t mcs_truncated = 0;
   // Per-shard span buffers shipped by members (index-aligned with
   // plan.shards; empty for shards with no accepted traced completion).
   // Only the first accepted ShardDone whose trace-id echo matches

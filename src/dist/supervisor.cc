@@ -174,6 +174,7 @@ ShardedPhasesResult RunShardedClusterPhases(
   }
   report->remote_fallback_only =
       report->remote && fleet.fleet_lost && fleet.member_clusters == 0;
+  out.mcs_truncated = fleet.mcs_truncated;
 
   // Stitch shipped worker spans into this process's trace, one merge pass
   // in shard order 0..N-1 regardless of completion order, so reruns of the
@@ -209,6 +210,7 @@ ShardedPhasesResult RunShardedClusterPhases(
     ShardClusterResult& r = *cluster_results[c];
     out.fine_complete = out.fine_complete && r.fine_complete;
     out.degraded_csgs += r.degraded_csgs;
+    out.mcs_truncated += r.mcs_truncated;
     for (auto& fine : r.fine_clusters) {
       out.fine_clusters.push_back(std::move(fine));
     }

@@ -84,6 +84,9 @@ struct ShardedPhasesResult {
   std::vector<ClusterSummaryGraph> csgs;  // 1:1 with fine_clusters
   bool fine_complete = true;
   size_t degraded_csgs = 0;
+  // Truncated MCS searches of the fine stage, wherever they ran (clusters
+  // restored from prior-run artifacts ran none).
+  uint64_t mcs_truncated = 0;
 };
 
 // Runs fine clustering + CSG folding over `coarse` across worker

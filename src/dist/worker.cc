@@ -100,7 +100,7 @@ ShardClusterResult ComputeShardCluster(const ShardExecutionSpec& spec,
     result.fine_clusters =
         FineClusterOne(*spec.db, cluster, spec.fine,
                        spec.streams[cluster_index], inline_ctx,
-                       &result.fine_complete);
+                       &result.fine_complete, &result.mcs_truncated);
   } else {
     result.fine_clusters.push_back(cluster);
   }

@@ -69,6 +69,10 @@ struct ShardClusterResult {
   // may keep them).
   bool fine_complete = true;
   size_t degraded_csgs = 0;
+  // MCS searches of the fine stage cut short by their node budget. Kept in
+  // memory only (not in the artifact or the result frame): a worker's count
+  // reaches the supervisor through its ShardDone counter deltas.
+  uint64_t mcs_truncated = 0;
   bool Complete() const { return fine_complete && degraded_csgs == 0; }
 };
 

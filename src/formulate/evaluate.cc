@@ -6,7 +6,7 @@
 #include "src/formulate/steps.h"
 #include "src/graph/algorithms.h"
 #include "src/iso/ged.h"
-#include "src/iso/vf2.h"
+#include "src/iso/flat_vf2.h"
 
 namespace catapult {
 
@@ -72,12 +72,17 @@ double SubgraphCoverage(const std::vector<Graph>& patterns,
   size_t stride = n / count;
   if (stride == 0) stride = 1;
 
+  // Each pattern and each sampled graph is flattened once.
+  std::vector<FlatGraph> flat_patterns;
+  flat_patterns.reserve(patterns.size());
+  for (const Graph& p : patterns) flat_patterns.push_back(FlatGraph::Build(p));
   size_t tested = 0;
   size_t covered = 0;
   for (size_t i = 0; i < n && tested < count; i += stride, ++tested) {
-    const Graph& g = db.graph(static_cast<GraphId>(i));
-    for (const Graph& p : patterns) {
-      if (ContainsSubgraph(p, g, iso)) {
+    const FlatGraph g = FlatGraph::Build(db.graph(static_cast<GraphId>(i)));
+    const LabelDomains domains = LabelDomains::Build(g.View());
+    for (const FlatGraph& p : flat_patterns) {
+      if (FlatContainsSubgraph(p.View(), g.View(), &domains, iso)) {
         ++covered;
         break;
       }

@@ -37,18 +37,25 @@ struct McsResult {
   std::vector<std::pair<VertexId, VertexId>> mapping;
   // True if the search provably found the optimum.
   bool exact = true;
+  // Search-tree nodes expanded (at most options.node_budget when set).
+  uint64_t nodes = 0;
 };
 
 // McGregor-style branch-and-bound maximum (connected) common subgraph of `a`
 // and `b`. Maximises the number of common *edges*, consistent with the
 // paper's size measure |G| = |E| and with its similarity definitions.
+// Each call adds one batch to the mcs.calls / mcs.nodes / mcs.truncated
+// counters and one mcs.nodes_per_call observation.
 McsResult MaxCommonSubgraph(const Graph& a, const Graph& b,
                             McsOptions options = {});
 
 // Similarity omega(a, b) = |G_common| / min(|a|, |b|), where |.| counts
 // edges (Section 2). Pass options.connected=true for omega_mccs, false for
-// omega_mcs. Returns 0 when either graph has no edges.
-double McsSimilarity(const Graph& a, const Graph& b, McsOptions options = {});
+// omega_mcs. Returns 0 when either graph has no edges (no search runs).
+// `exact` (optional) receives the search's exact flag, true when no search
+// ran.
+double McsSimilarity(const Graph& a, const Graph& b, McsOptions options = {},
+                     bool* exact = nullptr);
 
 }  // namespace catapult
 

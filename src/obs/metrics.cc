@@ -79,6 +79,9 @@ constexpr const char* kCounterNames[] = {
     "ged.calls",
     "ged.nodes",
     "ged.truncated",
+    "mcs.calls",
+    "mcs.nodes",
+    "mcs.truncated",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) == kNumCounters,
               "counter name table out of sync with the Counter enum");
@@ -103,6 +106,7 @@ constexpr const char* kHistNames[] = {
     "dist.reconnect_millis",
     "serve.queue_wait_millis",
     "ged.nodes_per_call",
+    "mcs.nodes_per_call",
 };
 static_assert(sizeof(kHistNames) / sizeof(kHistNames[0]) == kNumHists,
               "histogram name table out of sync with the Hist enum");

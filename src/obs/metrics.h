@@ -3,8 +3,8 @@
 
 // Process-wide metrics registry: monotonic counters, high-watermark gauges
 // and fixed-bucket log2 histograms covering the pipeline's hot primitives
-// (VF2, exact and bipartite GED, random walks, k-means, CSG folds, the selector
-// coverage cache, checkpoint I/O, the memory budget and failpoints).
+// (VF2, exact and bipartite GED, MCS, random walks, k-means, CSG folds, the
+// selector coverage cache, checkpoint I/O, the memory budget and failpoints).
 //
 // Design constraints (DESIGN.md §11):
 //  * Zero cross-thread synchronization on hot paths. Each thread writes a
@@ -105,6 +105,9 @@ enum class Counter : uint32_t {
   kGedCalls,               // exact GED branch-and-bound searches started
   kGedNodes,               // GED search-tree nodes expanded across searches
   kGedTruncated,           // GED searches cut short by their node budget
+  kMcsCalls,               // MCS/MCCS branch-and-bound searches started
+  kMcsNodes,               // MCS search-tree nodes expanded across searches
+  kMcsTruncated,           // MCS searches cut short by their node budget
   kCount
 };
 
@@ -131,6 +134,7 @@ enum class Hist : uint32_t {
   kDistReconnectMillis,  // death-to-rejoin latency per worker reconnect
   kServeQueueWaitMillis,  // admission-to-worker-pickup wait per served request
   kGedNodesPerCall,      // search-tree nodes expanded per exact GED search
+  kMcsNodesPerCall,      // search-tree nodes expanded per MCS search
   kCount
 };
 

@@ -4,8 +4,18 @@
 
 namespace catapult {
 
+namespace {
+
+std::vector<GraphId> AllIds(const GraphDatabase& db) {
+  std::vector<GraphId> ids(db.size());
+  for (GraphId i = 0; i < ids.size(); ++i) ids[i] = i;
+  return ids;
+}
+
+}  // namespace
+
 SubgraphSearchEngine::SubgraphSearchEngine(const GraphDatabase& db)
-    : db_(&db) {
+    : db_(&db), targets_(FlatTargets::Build(db, AllIds(db))) {
   const size_t n = db.size();
   vertex_counts_.resize(n);
   edge_counts_.resize(n);
@@ -76,12 +86,18 @@ DynamicBitset SubgraphSearchEngine::FilterCandidates(
   return candidates;
 }
 
+bool SubgraphSearchEngine::Contains(const FlatGraphView& pattern,
+                                    GraphId id, IsoOptions options) const {
+  return FlatContainsSubgraph(pattern, targets_.flat.view(id),
+                              &targets_.domains[id], options);
+}
+
 std::vector<GraphId> SubgraphSearchEngine::Search(const Graph& query,
                                                   IsoOptions options) const {
   std::vector<GraphId> results;
+  const FlatGraph flat = FlatGraph::Build(query);
   for (size_t i : FilterCandidates(query).ToIndices()) {
-    if (ContainsSubgraph(query, db_->graph(static_cast<GraphId>(i)),
-                         options)) {
+    if (Contains(flat.View(), static_cast<GraphId>(i), options)) {
       results.push_back(static_cast<GraphId>(i));
     }
   }
@@ -91,9 +107,9 @@ std::vector<GraphId> SubgraphSearchEngine::Search(const Graph& query,
 size_t SubgraphSearchEngine::CountMatches(const Graph& query, size_t cap,
                                           IsoOptions options) const {
   size_t count = 0;
+  const FlatGraph flat = FlatGraph::Build(query);
   for (size_t i : FilterCandidates(query).ToIndices()) {
-    if (ContainsSubgraph(query, db_->graph(static_cast<GraphId>(i)),
-                         options)) {
+    if (Contains(flat.View(), static_cast<GraphId>(i), options)) {
       ++count;
       if (cap != 0 && count >= cap) return count;
     }
@@ -109,10 +125,10 @@ double ExactSubgraphCoverage(const SubgraphSearchEngine& engine,
   DynamicBitset covered(n);
   for (const Graph& p : patterns) {
     if (p.NumVertices() == 0) continue;
+    const FlatGraph flat = FlatGraph::Build(p);
     for (size_t i : engine.FilterCandidates(p).ToIndices()) {
       if (covered.Test(i)) continue;
-      if (ContainsSubgraph(p, engine.db().graph(static_cast<GraphId>(i)),
-                           options)) {
+      if (engine.Contains(flat.View(), static_cast<GraphId>(i), options)) {
         covered.Set(i);
       }
     }

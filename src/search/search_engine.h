@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/graph/graph_database.h"
+#include "src/iso/flat_vf2.h"
 #include "src/iso/vf2.h"
 #include "src/util/bitset.h"
 
@@ -21,8 +22,9 @@ namespace catapult {
 //   * label-count index: per vertex label, graphs are bucketed by how many
 //     vertices carry the label, so a query needing k vertices of label l
 //     prunes graphs with fewer.
-// Survivors are verified with VF2. Both filters are sound (never drop a
-// true match), so results are exact.
+// Survivors are verified with the flat VF2 kernel against the database
+// flattened once at construction. Both filters are sound (never drop a true
+// match), so results are exact.
 class SubgraphSearchEngine {
  public:
   // Builds the indices; `db` must outlive the engine.
@@ -48,8 +50,14 @@ class SubgraphSearchEngine {
 
   const GraphDatabase& db() const { return *db_; }
 
+  // True if the flattened `pattern` has an embedding in data graph `id`.
+  bool Contains(const FlatGraphView& pattern, GraphId id,
+                IsoOptions options) const;
+
  private:
   const GraphDatabase* db_;
+  // Every data graph, flattened once with its label domains.
+  FlatTargets targets_;
   // labelled-edge key -> graphs containing at least one such edge.
   std::unordered_map<EdgeLabelKey, DynamicBitset> edge_index_;
   // vertex label -> per-graph count of vertices with that label.
